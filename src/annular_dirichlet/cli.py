@@ -11,9 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -22,8 +20,6 @@ from . import discrete as dc
 from . import lagrangians as lg
 from . import radial as rd
 from .weights import WeightError, weight_from_config
-
-WORKERS_ENV = "ANNULAR_DIRICHLET_WORKERS"
 
 DEFAULTS = {
     "numerics": {
@@ -171,16 +167,25 @@ def cmd_solve(cfg, out):
     return 0
 
 
-def cmd_threshold(cfg, out):
-    w = cfg["weight"]
-    rhos = cfg.get("rho_values")
-    if not rhos:
-        raise ConfigError("threshold needs rho or rho_values")
+def _threshold_rows(cfg):
+    """(rho, m, g) per ratio.  Each ratio reads the weight spec on its own
+    interval [r, r rho], r the configured left end: a non-constant weight
+    built once on the widest interval has the wrong ratio for the others."""
     n = cfg["numerics"]["ode_grid"]
-    rows = [(float(rho), rd.threshold_m(w, rho, n=n), rd.threshold_g(w, rho, n=n))
-            for rho in rhos]
+    r = cfg["weight"].r
+    rows = []
+    for rho in cfg["rho_values"]:
+        w = weight_from_config(cfg["weight_spec"], r, r * rho)
+        rows.append((float(rho), rd.threshold_m(w, rho, n=n),
+                     rd.threshold_g(w, rho, n=n)))
+    return rows
+
+
+def cmd_threshold(cfg, out):
+    if not cfg.get("rho_values"):
+        raise ConfigError("threshold needs rho or rho_values")
     _write_csv(out / "thresholds.csv", _meta(cfg),
-               ["rho", "m_lambda", "g_lambda"], rows)
+               ["rho", "m_lambda", "g_lambda"], _threshold_rows(cfg))
     return 0
 
 
@@ -269,24 +274,10 @@ def cmd_verify(cfg, out):
 
 
 def cmd_sweep(cfg, out):
-    rhos = cfg.get("rho_values")
-    if not rhos:
+    if not cfg.get("rho_values"):
         raise ConfigError("sweep needs rho_values")
-    w = cfg["weight"]
-    n = cfg["numerics"]["ode_grid"]
-    workers = int(os.environ.get(WORKERS_ENV, "1"))
-
-    def job(rho):
-        return (float(rho), rd.threshold_m(w, rho, n=n),
-                rd.threshold_g(w, rho, n=n))
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(job, rhos))
-    else:
-        rows = [job(rho) for rho in rhos]
     _write_csv(out / "sweep.csv", _meta(cfg),
-               ["rho", "m_lambda", "g_lambda"], rows)
+               ["rho", "m_lambda", "g_lambda"], _threshold_rows(cfg))
     return 0
 
 

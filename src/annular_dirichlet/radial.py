@@ -22,6 +22,7 @@ from .weights import Weight
 MODULUS_TOL = 1e-10
 PHI0_INTERVAL_TOL = 1e-12
 G_PREDICATE_SLACK = 1e-10
+RATIO_RTOL = 1e-12         # interval ratios this close are the same ratio
 MAX_BRACKET_DOUBLINGS = 60
 
 CASE1 = "case1"   # homeomorphism: phi0 >= 0
@@ -152,6 +153,7 @@ def build(w: Weight, pair: AnnulusPair, n=DEFAULT_N):
     factor = pair.R_star / profile.H[-1]
     profile.H *= factor
     profile.Hdot *= factor
+    profile.H[-1] = pair.R_star   # the product can land one ulp off
     case = CASE1 if phi0 >= 0 else CASE2
     sol = RadialSolution(pair=pair, phi=p, profile=profile, case_tag=case,
                          energy=0.0)
@@ -164,7 +166,7 @@ def threshold_m(w: Weight, rho, n=DEFAULT_N):
     if rho <= 1:
         raise ValueError(f"need rho > 1, got {rho}")
     r, R = w.r, w.R
-    if not np.isclose(R / r, rho):
+    if not np.isclose(R / r, rho, rtol=RATIO_RTOL, atol=0.0):
         # thresholds depend only on the ratio; reuse the weight's interval
         # only when it matches, otherwise solve on [1, rho] with a
         # transported copy of the weight
@@ -180,7 +182,7 @@ def threshold_g(w: Weight, rho, n=DEFAULT_N):
     if rho <= 1:
         raise ValueError(f"need rho > 1, got {rho}")
     r, R = w.r, w.R
-    if not np.isclose(R / r, rho):
+    if not np.isclose(R / r, rho, rtol=RATIO_RTOL, atol=0.0):
         w = _transport(w, 1.0, rho)
         r, R = 1.0, rho
     g = OdeGrid(w, r, R, n)
@@ -219,7 +221,7 @@ def _transport(w: Weight, r, R):
     """Copy of the weight rescaled in s to live on [r, R]."""
     if w.kind == "constant":
         return Weight.constant(w.value, r, R)
-    if not np.isclose(R / r, w.R / w.r):
+    if not np.isclose(R / r, w.R / w.r, rtol=RATIO_RTOL, atol=0.0):
         raise ValueError(
             "threshold ratio must match the weight's interval ratio "
             "(except for constant weights)")

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from annular_dirichlet import cli
+from annular_dirichlet import radial as rd
+from annular_dirichlet.weights import Weight
 
 
 BASE = {
@@ -147,19 +149,26 @@ class TestVerifyCommand:
 
 
 class TestSweepCommand:
-    def test_matches_threshold(self, tmp_path, monkeypatch):
-        cfg = {"weight": {"kind": "constant", "value": 1.0},
-               "rho_values": [1.5, 2.0, 3.0],
-               "numerics": {"ode_grid": 1024}}
+    @pytest.mark.parametrize("command, table", [("threshold", "thresholds.csv"),
+                                                ("sweep", "sweep.csv")])
+    def test_power_weight_several_rhos(self, tmp_path, command, table):
+        # a non-constant weight is read on each ratio's own interval
+        rhos = [1.5, 2.0, 3.0]
+        cfg = {"weight": {"kind": "power", "exponent": 1.0},
+               "rho_values": rhos, "numerics": {"ode_grid": 1024}}
         p = write_config(tmp_path, cfg)
-        monkeypatch.setenv(cli.WORKERS_ENV, "3")
-        rc = cli.main(["sweep", "--config", str(p), "--out", str(tmp_path)])
+        rc = cli.main([command, "--config", str(p), "--out", str(tmp_path)])
         assert rc == 0
-        rows = [ln for ln in
-                (tmp_path / "sweep.csv").read_text().splitlines()
+        rows = [ln for ln in (tmp_path / table).read_text().splitlines()
                 if not ln.startswith("#")][1:]
-        ms = [float(r.split(",")[1]) for r in rows]
-        assert ms == sorted(ms)     # strictly increasing in rho
+        values = [tuple(map(float, row.split(","))) for row in rows]
+        assert [v[0] for v in values] == rhos
+        for rho, m, g in values:
+            w = Weight.power(1.0, 1.0, rho)
+            assert m == rd.threshold_m(w, rho, n=1024)
+            assert g == rd.threshold_g(w, rho, n=1024)
+        ms = [v[1] for v in values]
+        assert ms == sorted(ms)     # increasing in rho
 
 
 class TestErrorPaths:

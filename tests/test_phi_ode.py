@@ -6,6 +6,7 @@ from annular_dirichlet import phi_ode as po
 from annular_dirichlet.weights import Weight
 
 from conftest import closed_form_phi
+from rk4_oracle import bisect_root, rk4_path
 
 
 def k_for_phi0(phi0, s=1.0):
@@ -41,6 +42,13 @@ class TestSolveAgainstClosedForm:
         p = po.solve_phi_tilde(w, 1.0, 2.0, 0.5)
         assert np.max(np.abs(p.phi_tilde)) <= w.max_value() + 1e-12
 
+    def test_a_priori_bound_violation_raises(self):
+        # phi0 < -lambda: the smooth path grows past |phi0|, so the residual
+        # check passes and only the bound check can reject it
+        w = Weight.constant(1.0, 1.0, 1.2)
+        with pytest.raises(po.AccuracyError, match="a priori bound"):
+            po.solve_phi_tilde(w, 1.0, 1.2, -1.2)
+
 
 class TestOdeGrid:
     def test_grid_reuse_matches_fresh_solve(self):
@@ -57,6 +65,61 @@ class TestOdeGrid:
         p = po.solve_phi_tilde(w, 1.0, 2.0, 1.0, grid=grid)
         p = po.clamp_and_collapse(p, w)
         assert po.modulus_of(p, w) == pytest.approx(np.log(2.0), abs=1e-12)
+
+
+N_ORACLE = 4096
+ORACLE_WEIGHTS = {
+    "1": Weight.constant(1.0, 1.0, 2.0),
+    "s": Weight.power(1.0, 1.0, 2.0),
+    "1/s": Weight.power(-1.0, 1.0, 2.0),
+    "2+sin4s": Weight.from_callable(lambda s: 2.0 + np.sin(4 * s), 1.0, 2.0,
+                                    samples=2 * N_ORACLE + 1),
+}
+
+
+class TestAgainstNonlinearRk4:
+    """The linear propagators against RK4 on the Riccati equation itself."""
+
+    @pytest.fixture(scope="class", params=sorted(ORACLE_WEIGHTS))
+    def grid(self, request):
+        return po.OdeGrid(ORACLE_WEIGHTS[request.param], 1.0, 2.0, N_ORACLE)
+
+    @pytest.mark.parametrize("every", [1, 2])
+    def test_paths_agree(self, grid, every):
+        for phi0 in (-0.7, -0.2, 0.0, 0.4, 0.99, 1.5, 3.0):
+            np.testing.assert_allclose(grid.integrate(phi0, every=every),
+                                       rk4_path(grid, phi0, every=every),
+                                       rtol=0, atol=1e-12)
+
+    def test_blow_up_start_clamps_identically(self, grid):
+        ours = grid.integrate(-3.0)
+        assert np.isneginf(ours[-1])
+        np.testing.assert_array_equal(np.maximum(0.0, ours),
+                                      np.maximum(0.0, rk4_path(grid, -3.0)))
+
+    @pytest.mark.parametrize("phi0", [-0.3, -0.05])
+    def test_collapse_radius_matches_bisection(self, grid, phi0):
+        w = grid.w
+        p = po.clamp_and_collapse(
+            po.solve_phi_tilde(w, 1.0, 2.0, phi0, grid=grid), w)
+        y = rk4_path(grid, phi0)
+        i = int(np.searchsorted(y >= 0, True)) - 1
+        r0 = bisect_root(w, grid.t[i], y[i], grid.t[i + 1], grid.s[-1])
+        # a tabulated weight's slope jumps at the half node inside the cell,
+        # which limits the cubic interpolant to O(h^3) there (about 2e-12)
+        tol = 5e-12 if w.kind == "tabulated" else 1e-12
+        assert abs(p.r0 - r0) <= tol
+
+
+def test_blocked_products_keep_fd_residual_small():
+    # criterion 7's tabulated e^s weight at n=8192, phi0 of A(1,2) -> A*(1,3).
+    # Prefix products from a log-depth scan round each node differently; the
+    # 4th-order residual amplifies that jitter by 1/h and the solve raises
+    # AccuracyError (1.02e-9 at n and 2n).  Blocked products give 7e-11.
+    n = 8192
+    w = Weight.from_callable(np.exp, 1.0, 2.0, samples=2 * n + 1)
+    p = po.solve_phi_tilde(w, 1.0, 2.0, 9.873127315019374, n=n)
+    assert p.residual <= 5e-10
 
 
 class TestClampAndCollapse:

@@ -82,6 +82,15 @@ class TestThresholds:
         m = rd.threshold_m(unit(), 5.0)
         assert m == pytest.approx(2.6, abs=1e-8)
 
+    def test_ratio_just_off_the_weight_interval(self):
+        # a ratio 1.5e-5 above the weight's own must not be answered on [1, 2]
+        rho = 2.000015
+        m = rd.threshold_m(unit(), rho)
+        g = rd.threshold_g(unit(), rho)
+        assert m == pytest.approx((rho * rho + 1) / (2 * rho), abs=1e-12)
+        # g's own error is about 7.5e-11, from the admissibility slack
+        assert g == pytest.approx(rho, abs=1e-9)
+
     def test_m_below_g(self):
         w = Weight.from_callable(lambda s: 2.0 + np.sin(4 * s), 1.0, 2.0,
                                  samples=8193)
