@@ -1,7 +1,8 @@
 """Direct energy minimization, 1-D and 2-D, against the closed form.
 
-The 1-D path minimizes over radial profiles H(s) with a monotonicity
-projection (isotonic regression).  The 2-D path minimizes over full
+The 1-D path minimizes over radial profiles H(s) >= r* with banded
+solves (one when the profile stays above r*, a bisection on the contact
+index of the collapse plateau otherwise).  The 2-D path minimizes over full
 polar-grid maps with only the modulus box constraint and boundary
 circles pinned, started from a smooth random perturbation of the
 embedded radial minimizer.  Neither ever beats the closed form, and both
@@ -22,7 +23,7 @@ print(f"closed-form minimum: {exact:.10f}  (= 15 pi / 8)")
 rv, rrep = minimize_radial(w, pair, n=2048)
 print(f"1-D minimizer:       {rrep.total:.10f}  "
       f"(rel gap {abs(rrep.total - exact) / exact:.2e}, "
-      f"{rrep.iterations} iterations)")
+      f"{rrep.iterations} banded solve(s))")
 
 print()
 print("2-D minimization from perturbed starts (128 x 128):")

@@ -104,6 +104,19 @@ def parse_config(text_or_dict):
     return cfg
 
 
+def with_overrides(raw, seed=None, grid=None, mode=None):
+    """The raw config with the command-line overrides folded in, so that
+    its hash and effective_config.json describe the run."""
+    out = dict(raw)
+    fixed = None if mode is None else mode == "fixed-outer"
+    for section, key, value in (("numerics", "seed", seed),
+                                ("numerics", "ode_grid", grid),
+                                ("mode", "fixed_outer_boundary", fixed)):
+        if value is not None:
+            out[section] = {**out.get(section, {}), key: value}
+    return out
+
+
 def _config_hash(raw):
     blob = json.dumps(raw, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
@@ -301,19 +314,18 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         cfg = parse_config(Path(args.config).read_text())
+        raw = with_overrides(cfg["raw"], args.seed, args.grid, args.mode)
+        if raw != cfg["raw"]:
+            cfg = parse_config(raw)
     except (ConfigError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    if args.seed is not None:
-        cfg["numerics"]["seed"] = args.seed
-    if args.grid is not None:
-        cfg["numerics"]["ode_grid"] = args.grid
-    if args.mode is not None:
-        cfg["mode"]["fixed_outer_boundary"] = args.mode == "fixed-outer"
     out = _out_dir(cfg, args.out)
     _echo_config(cfg, out)
     written_before = set(out.iterdir())
     try:
+        if "pair" not in cfg and args.command in ("solve", "energy", "direct"):
+            raise ConfigError(f"{args.command} needs a pair")
         return COMMANDS[args.command](cfg, out)
     except Exception as e:  # remove partial artifacts, then report
         for path in set(out.iterdir()) - written_before:

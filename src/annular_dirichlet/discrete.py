@@ -17,7 +17,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import isotonic_regression
+from scipy.linalg import eigvalsh_tridiagonal, solveh_banded
 
 from . import radial as rd
 from .weights import Weight
@@ -35,17 +35,12 @@ class DegenerateRowError(ValueError):
 
 
 class FeasibilityError(RuntimeError):
-    """Descent left the admissible class and restarts did not recover."""
+    """A minimizer found no admissible optimum."""
 
 
 @dataclass
 class EnergyReport:
     total: float
-    radial_term: float     # sum of s*lambda*|h_s|^2 contributions
-    angular_term: float    # sum of (lambda/s)*|h_theta|^2 contributions
-    ns: int
-    ntheta: int
-    scheme: str
     iterations: int = 0
     converged: bool = True
     negative_jacobian_fraction: float | None = None
@@ -56,13 +51,9 @@ class RadialVector:
     s: np.ndarray
     H: np.ndarray
 
-    def check(self, r_star=None, R_star=None, tol=1e-10):
+    def check(self, tol=1e-10):
         if np.any(np.diff(self.H) < -tol):
             raise AdmissibilityError("H must be nondecreasing")
-        if r_star is not None and abs(self.H[0] - r_star) > tol:
-            raise AdmissibilityError("H(r) must equal r_star")
-        if R_star is not None and abs(self.H[-1] - R_star) > tol:
-            raise AdmissibilityError("H(R) must equal R_star")
 
 
 @dataclass
@@ -100,10 +91,6 @@ class PolarGridMap:
     def dtheta(self):
         return 2 * np.pi / self.ntheta
 
-    def copy(self):
-        return PolarGridMap(self.h.copy(), self.pair, self.mode,
-                            t=self.t, theta=self.theta)
-
     def check(self, tol=1e-9):
         p = self.pair
         mod = np.abs(self.h)
@@ -133,18 +120,11 @@ def winding_number(m: PolarGridMap, row):
     return int(np.rint(np.sum(ang) / (2 * np.pi)))
 
 
-def jacobian_cells(w_or_none, m: PolarGridMap):
-    """Discrete Jacobian density Im(conj(h_t) h_theta) per cell.
-
-    This is J_h * s^2, i.e. the Jacobian against the measure dt dtheta.
-    """
-    Dt, Dth = cell_diffs(m.h, m.dt, m.dtheta)
-    return np.imag(np.conj(Dt) * Dth)
-
-
 def negative_jacobian_fraction(m: PolarGridMap):
-    J = jacobian_cells(None, m)
-    return float(np.mean(J < 0))
+    """Share of cells with negative Jacobian density Im(conj(h_t) h_theta),
+    i.e. J_h * s^2, the Jacobian against the measure dt dtheta."""
+    Dt, Dth = cell_diffs(m.h, m.dt, m.dtheta)
+    return float(np.mean(np.imag(np.conj(Dt) * Dth) < 0))
 
 
 def cell_diffs(h, dt, dtheta):
@@ -161,10 +141,91 @@ def cell_average(v):
     return 0.25 * (v[1:] + v[:-1] + vr[1:] + vr[:-1])
 
 
-def cell_lambda(w: Weight, m: PolarGridMap):
-    t_mid = 0.5 * (m.t[1:] + m.t[:-1])
-    s_mid = np.minimum(np.exp(t_mid), m.pair.R)
-    return np.asarray(w(s_mid), dtype=float)[:, None]
+def cell_weights(w: Weight, t, R):
+    """lambda at the cell midpoints of the log-radius nodes t."""
+    s_mid = np.minimum(np.exp(0.5 * (t[1:] + t[:-1])), R)
+    return np.asarray(w(s_mid), dtype=float)
+
+
+class CylinderForm:
+    """The weighted cylinder form E(h) = dt dtheta sum lambda_{i+1/2}
+    (|D_t h|^2 + |D_theta h|^2) of `cell_diffs`, for the cell weights lam.
+
+    lambda depends on t only, so E is block-diagonal in the theta-Fourier
+    modes k: on h = v(t) e^{ik theta} it is v^T B_k v, B_k tridiagonal in t
+    with the factors cos^2(k dtheta/2) on the slopes and
+    (sin(k dtheta/2)/(dtheta/2))^2 on the cell means.  dtheta = 0 is the
+    limit of continuous theta: the form of radial profiles.
+    """
+
+    def __init__(self, lam, dt, dtheta):
+        self.lam, self.dt, self.dtheta = lam, dt, dtheta
+
+    @classmethod
+    def on(cls, w: Weight, m: PolarGridMap):
+        return cls(cell_weights(w, m.t, m.pair.R), m.dt, m.dtheta)
+
+    def energy(self, h):
+        Dt, Dth = cell_diffs(h, self.dt, self.dtheta)
+        lamc = self.lam[:, None]
+        cell = self.dt * self.dtheta
+        radl = cell * float(np.sum(lamc * (Dt.real ** 2 + Dt.imag ** 2)))
+        ang = cell * float(np.sum(lamc * (Dth.real ** 2 + Dth.imag ** 2)))
+        return radl + ang
+
+    def grad(self, h):
+        """Exact gradient, complex: the derivative of E along v is
+        sum Re(conj(grad) v), and E(h) = Re<grad(h), h> / 2."""
+        lamc = self.lam[:, None]
+        hr = np.roll(h, -1, axis=1)
+        u = h + hr                  # theta-sums: D_t h = diff(u) / (2 dt)
+        hr -= h                     # theta-differences, summed in t: D_theta h
+        p = (u[1:] - u[:-1]) * ((self.dtheta / (2 * self.dt)) * lamc)
+        q = (hr[1:] + hr[:-1]) * ((self.dt / (2 * self.dtheta)) * lamc)
+        plus = p + q
+        minus = np.subtract(p, q, out=p)
+        # cell (i, j) adds -plus to node (i, j), minus to (i+1, j), -minus
+        # to (i, j+1) and plus to (i+1, j+1)
+        g = np.empty_like(h)
+        g[0] = -plus[0]
+        np.subtract(minus[:-1], plus[1:], out=g[1:-1])
+        g[-1] = minus[-1]
+        g[1:, 1:] += plus[:, :-1]
+        g[1:, 0] += plus[:, -1]
+        g[:-1, 1:] -= minus[:, :-1]
+        g[:-1, 0] -= minus[:, -1]
+        return g
+
+    def _factors(self, k):
+        x = k * self.dtheta / 2
+        return np.cos(x) ** 2, (k * np.sinc(x / np.pi)) ** 2
+
+    def block(self, k):
+        """(diagonal, off-diagonal) of B_k."""
+        c, d = self._factors(k)
+        scale = 2 * np.pi * self.dt * self.lam
+        a = scale * (c / self.dt ** 2 + d / 4)
+        return np.r_[a, 0.0] + np.r_[0.0, a], scale * (d / 4 - c / self.dt ** 2)
+
+    @property
+    def L(self):
+        """Lipschitz constant of `grad`: dtheta / pi times the top
+        eigenvalue of the blocks.  Along k the factors move on the segment
+        c + d (dtheta/2)^2 = 1, on which the top eigenvalue is convex, so
+        it is largest at k = 0 or k = ntheta // 2."""
+        n = self.lam.size
+        top = max(eigvalsh_tridiagonal(*self.block(k), select="i",
+                                       select_range=(n, n))[0]
+                  for k in (0, round(2 * np.pi / self.dtheta) // 2))
+        return top * self.dtheta / np.pi
+
+    def radial_energy(self, H):
+        """Energy of h = H(t) e^{i theta}, from the differences of H."""
+        c, d = self._factors(1)
+        scale = 2 * np.pi * self.dt
+        radl = scale * c * float(np.sum(self.lam * (np.diff(H) / self.dt) ** 2))
+        ang = scale * d * float(np.sum(self.lam * (0.5 * (H[1:] + H[:-1])) ** 2))
+        return radl + ang
 
 
 # ---------------------------------------------------------------------------
@@ -175,104 +236,66 @@ def radial_energy(w: Weight, rv: RadialVector, check=True):
     """Energy 2 pi int lambda (H^2/s + s Hdot^2) ds of a radial map."""
     if check:
         rv.check()
-    rep = _radial_energy_report(w, rv)
-    return rep.total
-
-
-def _radial_energy_report(w: Weight, rv: RadialVector):
     t = np.log(rv.s)
-    h = t[1] - t[0]
-    lam_mid = np.asarray(w(np.minimum(np.exp(0.5 * (t[1:] + t[:-1])), rv.s[-1])),
-                         dtype=float)
-    Hm = 0.5 * (rv.H[1:] + rv.H[:-1])
-    slope = np.diff(rv.H) / h
-    ang = 2 * np.pi * h * float(np.sum(lam_mid * Hm ** 2))
-    radl = 2 * np.pi * h * float(np.sum(lam_mid * slope ** 2))
-    return EnergyReport(total=ang + radl, radial_term=radl, angular_term=ang,
-                        ns=len(rv.s), ntheta=1, scheme="midcell-trapezoid")
+    return CylinderForm(cell_weights(w, t, rv.s[-1]), t[1] - t[0],
+                        0.0).radial_energy(rv.H)
 
 
-def minimize_radial(w: Weight, pair: rd.AnnulusPair, n=2048, max_iter=50000,
-                    tol=1e-12):
-    """Direct minimization over monotone radial profiles.
+def minimize_radial(w: Weight, pair: rd.AnnulusPair, n=2048):
+    """Direct minimization over radial profiles H >= r_star with
+    H(r) = r_star, H(R) = R_star: B_1 of the cylinder form at dtheta = 0.
+    An ODE-independent oracle for the radial minimizer.
 
-    Accelerated projected gradient with function-value restarts; the
-    projection is isotonic regression of the interior values with clamped
-    endpoints.  Serves as an ODE-independent oracle for the minimizer.
+    With both ends pinned one banded solve gives the minimizer if it
+    stays above r_star.  Otherwise H = r_star up to the last contact
+    index, the smallest whose pinned solve leaves r_star upwards, found
+    by bisection.  The KKT multipliers on the contact set must be
+    nonnegative and H monotone (FeasibilityError otherwise).
+    rep.iterations counts the banded solves.
     """
     if w.validate() is not None:
         raise ValueError("weight failed validation")
     t = np.linspace(np.log(pair.r), np.log(pair.R), n + 1)
-    h = (t[-1] - t[0]) / n
     s = np.exp(t)
     s[0], s[-1] = pair.r, pair.R
-    lam_mid = np.asarray(w(np.minimum(np.exp(0.5 * (t[1:] + t[:-1])), pair.R)),
-                         dtype=float)
-    two_pi_h = 2 * np.pi * h
+    form = CylinderForm(cell_weights(w, t, pair.R), (t[-1] - t[0]) / n, 0.0)
+    diag, off = form.block(1)
+    floor = np.full(n + 1, float(pair.r_star))
+    floor[-1] = pair.R_star
 
-    def energy(H):
-        Hm = 0.5 * (H[1:] + H[:-1])
-        slope = np.diff(H) / h
-        return two_pi_h * float(np.sum(lam_mid * (Hm ** 2 + slope ** 2)))
+    def pinned(j):
+        """Minimizer with H = r_star on nodes 0..j and H(R) = R_star."""
+        ab = np.zeros((2, n - j - 1))
+        ab[0, 1:] = off[j + 1:-1]
+        ab[1] = diag[j + 1:-1]
+        rhs = np.zeros(n - j - 1)
+        rhs[0] -= off[j] * floor[j]
+        rhs[-1] -= off[-1] * floor[-1]
+        H = floor.copy()
+        H[j + 1:-1] = solveh_banded(ab, rhs)
+        return H
 
-    def grad(H):
-        Hm = 0.5 * (H[1:] + H[:-1])
-        slope = np.diff(H) / h
-        a = lam_mid * Hm            # d/dHm part
-        b = 2.0 * lam_mid * slope / h
-        g = np.zeros_like(H)
-        g[:-1] += a - b
-        g[1:] += a + b
-        return two_pi_h * g
-
-    def project(H):
-        out = H.copy()
-        inner = isotonic_regression(H[1:-1]).x
-        out[1:-1] = np.clip(inner, pair.r_star, pair.R_star)
-        out[0], out[-1] = pair.r_star, pair.R_star
-        return np.maximum.accumulate(out)
-
-    # Lipschitz constant of the gradient by power iteration (quadratic form)
-    rng = np.random.default_rng(12345)
-    v = rng.standard_normal(n + 1)
-    for _ in range(40):
-        v = grad(v)
-        v /= np.linalg.norm(v)
-    L = float(np.linalg.norm(grad(v))) * 1.05
-
-    x = project(pair.r_star + (pair.R_star - pair.r_star)
-                * (s - pair.r) / (pair.R - pair.r))
-    E_cur = energy(x)
-    y = x.copy()
-    t_k = 1.0
-    quiet = 0
-    it = 0
-    converged = False
-    for it in range(1, max_iter + 1):
-        x_new = project(y - grad(y) / L)
-        E_new = energy(x_new)
-        if E_new > E_cur:   # momentum overshoot: restart from current iterate
-            t_k = 1.0
-            y = x
-            x_new = project(y - grad(y) / L)
-            E_new = energy(x_new)
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_k * t_k))
-        y = x_new + ((t_k - 1.0) / t_next) * (x_new - x)
-        t_k = t_next
-        quiet = quiet + 1 if abs(E_new - E_cur) <= tol * max(abs(E_new), 1.0) \
-            else 0
-        x, E_cur = x_new, E_new
-        if quiet >= 10:
-            converged = True
-            break
-    if not converged:
-        warnings.warn("minimize_radial hit the iteration cap; "
-                      "returning the best iterate", RuntimeWarning)
-    rv = RadialVector(s=s, H=x)
-    rep = _radial_energy_report(w, rv)
-    rep.iterations = it
-    rep.converged = converged
-    return rv, rep
+    H, j, solves = pinned(0), 0, 1
+    if H.min() < pair.r_star:
+        lo, j, H = 0, n - 1, floor      # contact through n - 1 is feasible
+        while j - lo > 1:
+            mid = (lo + j) // 2
+            cand = pinned(mid)
+            solves += 1
+            if cand[mid + 1] >= pair.r_star:
+                j, H = mid, cand
+            else:
+                lo = mid
+    grad = 2 * diag * H
+    grad[1:] += 2 * off * H[:-1]
+    grad[:-1] += 2 * off * H[1:]
+    if np.any(grad[1:j + 1] < 0):
+        raise FeasibilityError("negative obstacle multiplier at contact "
+                               f"node {1 + int(np.argmin(grad[1:j + 1]))}")
+    if np.any(np.diff(H) < 0):
+        raise FeasibilityError("radial minimizer is not monotone")
+    return RadialVector(s=s, H=H), EnergyReport(form.radial_energy(H),
+                                                iterations=solves)
 
 
 # ---------------------------------------------------------------------------
@@ -282,43 +305,12 @@ def minimize_radial(w: Weight, pair: rd.AnnulusPair, n=2048, max_iter=50000,
 def polar_energy(w: Weight, m: PolarGridMap, check=True):
     if check:
         m.check()
-    lamc = cell_lambda(w, m)
-    Dt, Dth = cell_diffs(m.h, m.dt, m.dtheta)
-    cell = m.dt * m.dtheta
-    radl = cell * float(np.sum(lamc * (Dt.real ** 2 + Dt.imag ** 2)))
-    ang = cell * float(np.sum(lamc * (Dth.real ** 2 + Dth.imag ** 2)))
-    return EnergyReport(total=radl + ang, radial_term=radl, angular_term=ang,
-                        ns=m.ns, ntheta=m.ntheta, scheme="midcell-quadratic")
+    return EnergyReport(CylinderForm.on(w, m).energy(m.h))
 
 
 def polar_gradient(w: Weight, m: PolarGridMap):
-    """Exact gradient of the discrete polar energy.
-
-    Returned as a complex array G; the derivative of the energy along a
-    perturbation v is sum Re(conj(G) * v).
-    """
-    return _gradient_of(m.h, cell_lambda(w, m), m.dt, m.dtheta)
-
-
-def _gradient_of(h, lamc, dt, dtheta):
-    hr = np.roll(h, -1, axis=1)
-    Dt = (h[1:] + hr[1:] - h[:-1] - hr[:-1]) / (2 * dt)
-    Dth = (hr[1:] + hr[:-1] - h[1:] - h[:-1]) / (2 * dtheta)
-    A = lamc * Dt
-    B = lamc * Dth
-    ns = h.shape[0]
-    Aj = A + np.roll(A, 1, axis=1)
-    Gt = np.empty_like(h)
-    Gt[0] = -Aj[0]
-    Gt[1:ns - 1] = Aj[:-1] - Aj[1:]
-    Gt[ns - 1] = Aj[-1]
-    Gt /= 2 * dt
-    Bv = np.empty_like(h)
-    Bv[0] = B[0]
-    Bv[1:ns - 1] = B[1:] + B[:-1]
-    Bv[ns - 1] = B[-1]
-    Gth = (np.roll(Bv, 1, axis=1) - Bv) / (2 * dtheta)
-    return 2 * dt * dtheta * (Gt + Gth)
+    """Exact gradient of the discrete polar energy (`CylinderForm.grad`)."""
+    return CylinderForm.on(w, m).grad(m.h)
 
 
 def embed_radial(sol: rd.RadialSolution, ns=256, ntheta=256, mode=MODE_FREE):
@@ -392,15 +384,18 @@ def _project(h, m: PolarGridMap):
 def minimize_polar(w: Weight, pair: rd.AnnulusPair, ns=256, ntheta=256,
                    mode=MODE_FREE, init: PolarGridMap | None = None,
                    seed=0, perturbation=0.0, max_iter=2000, tol=1e-12,
-                   radial_solution: rd.RadialSolution | None = None,
-                   momentum=True):
+                   radial_solution: rd.RadialSolution | None = None):
     """Projected descent over admissible polar-grid maps.
 
     Default initialization is the embedded radial minimizer, optionally
     with a seeded smooth perturbation.  The projection clamps moduli into
     [r_star, R_star] and re-pins the boundary rows for the mode; row
     windings are monitored and a winding change triggers a restart with a
-    smaller step.
+    smaller step.  Steps are accelerated (FISTA with function-value
+    restarts) with step 1/L.  The gradient is linear, so a step applies
+    the form once, to the new iterate: its gradient G gives its energy
+    Re<G, h>/2 and, with the previous one, the gradient at the
+    extrapolated point.  rep.iterations counts the steps of all attempts.
     """
     if w.validate() is not None:
         raise ValueError("weight failed validation")
@@ -411,50 +406,37 @@ def minimize_polar(w: Weight, pair: rd.AnnulusPair, ns=256, ntheta=256,
     if perturbation > 0:
         init = perturb_map(init, perturbation, seed)
     init.check()
-    m = init.copy()
-    lamc = cell_lambda(w, m)
-    dt, dth = m.dt, m.dtheta
-    cell = dt * dth
-
-    def energy(h):
-        Dt, Dth = cell_diffs(h, dt, dth)
-        return cell * float(np.sum(lamc * (np.abs(Dt) ** 2 + np.abs(Dth) ** 2)))
-
-    rng = np.random.default_rng(99991)
-    v = rng.standard_normal(m.h.shape) + 1j * rng.standard_normal(m.h.shape)
-    for _ in range(30):
-        v = _gradient_of(v, lamc, dt, dth)
-        v /= np.linalg.norm(v)
-    L = float(np.linalg.norm(_gradient_of(v, lamc, dt, dth))) * 1.05
-
+    form = CylinderForm.on(w, init)
+    L = form.L
     step_scale = 1.0
+    iterations = 0
     for attempt in range(4):
         h = init.h.copy()
-        E_cur = energy(h)
-        y = h.copy()
+        G_h = form.grad(h)
+        E_cur = 0.5 * np.vdot(G_h, h).real
+        y, G_y = h, G_h
         t_k = 1.0
         quiet = 0
         it = 0
         converged = False
         ok = True
         for it in range(1, max_iter + 1):
-            g = _gradient_of(y, lamc, dt, dth)
-            h_new = _project(y - (step_scale / L) * g, m)
-            E_new = energy(h_new)
-            if momentum and E_new > E_cur:
+            h_new = _project(y - (step_scale / L) * G_y, init)
+            G_new = form.grad(h_new)
+            E_new = 0.5 * np.vdot(G_new, h_new).real
+            if E_new > E_cur:   # momentum overshoot: restart from h
                 t_k = 1.0
-                y = h
-                h_new = _project(y - (step_scale / L)
-                                 * _gradient_of(y, lamc, dt, dth), m)
-                E_new = energy(h_new)
-            if momentum:
-                t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_k * t_k))
-                y = h_new + ((t_k - 1.0) / t_next) * (h_new - h)
-                t_k = t_next
-            else:
-                y = h_new
+                h_new = _project(h - (step_scale / L) * G_h, init)
+                G_new = form.grad(h_new)
+                E_new = 0.5 * np.vdot(G_new, h_new).real
+            t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_k * t_k))
+            beta = (t_k - 1.0) / t_next
+            y = h_new + beta * (h_new - h)
+            G_y = (1.0 + beta) * G_new - beta * G_h
+            t_k = t_next
             if it % 100 == 0:
-                probe = PolarGridMap(h_new, pair, mode, t=m.t, theta=m.theta)
+                probe = PolarGridMap(h_new, pair, mode, t=init.t,
+                                     theta=init.theta)
                 try:
                     probe.check()
                 except (AdmissibilityError, DegenerateRowError):
@@ -462,12 +444,13 @@ def minimize_polar(w: Weight, pair: rd.AnnulusPair, ns=256, ntheta=256,
                     break
             quiet = quiet + 1 if abs(E_new - E_cur) <= tol * max(abs(E_new), 1.0) \
                 else 0
-            h, E_cur = h_new, E_new
+            h, G_h, E_cur = h_new, G_new, E_new
             if quiet >= 10:
                 converged = True
                 break
+        iterations += it
         if ok:
-            out = PolarGridMap(h, pair, mode, t=m.t, theta=m.theta)
+            out = PolarGridMap(h, pair, mode, t=init.t, theta=init.theta)
             try:
                 out.check()
                 break
@@ -479,8 +462,5 @@ def minimize_polar(w: Weight, pair: rd.AnnulusPair, ns=256, ntheta=256,
     if not converged and it >= max_iter:
         warnings.warn("minimize_polar hit the iteration cap; "
                       "returning the best iterate", RuntimeWarning)
-    rep = polar_energy(w, out, check=False)
-    rep.iterations = it
-    rep.converged = converged
-    rep.negative_jacobian_fraction = negative_jacobian_fraction(out)
-    return out, rep
+    return out, EnergyReport(form.energy(out.h), iterations, converged,
+                             negative_jacobian_fraction(out))

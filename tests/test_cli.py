@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from annular_dirichlet import cli
 from annular_dirichlet import radial as rd
@@ -188,3 +189,56 @@ class TestErrorPaths:
         assert rc == 1              # solve needs a pair, not a rho query
         assert not (out / "solution.csv").exists()
         assert not (out / "solution.json").exists()
+
+    @pytest.mark.parametrize("command", ["solve", "energy", "direct"])
+    def test_missing_pair_named(self, tmp_path, capsys, command):
+        cfg = {"weight": {"kind": "constant", "value": 1.0},
+               "rho_values": [1.5]}
+        p = write_config(tmp_path, cfg)
+        rc = cli.main([command, "--config", str(p), "--out", str(tmp_path)])
+        assert rc == 1
+        assert f"error: {command} needs a pair" in capsys.readouterr().err
+
+
+class TestOverrides:
+    def test_no_override_keeps_the_hash(self, tmp_path):
+        p = write_config(tmp_path, BASE)
+        assert cli.main(["solve", "--config", str(p), "--out",
+                         str(tmp_path)]) == 0
+        echo = json.loads((tmp_path / "effective_config.json").read_text())
+        assert echo == {"config": BASE,
+                        "hash": cli.parse_config(json.dumps(BASE))["hash"]}
+
+    def test_grid_override_recorded(self, tmp_path):
+        p = write_config(tmp_path, BASE)
+        cli.main(["solve", "--config", str(p), "--out", str(tmp_path),
+                  "--grid", "512"])
+        echo = json.loads((tmp_path / "effective_config.json").read_text())
+        assert echo["config"]["numerics"]["ode_grid"] == 512
+        summary = json.loads((tmp_path / "solution.json").read_text())
+        assert summary["config_hash"] == echo["hash"]
+        assert echo["hash"] != cli.parse_config(json.dumps(BASE))["hash"]
+
+    @given(seed=st.one_of(st.none(), st.integers(0, 2 ** 31 - 1)),
+           grid=st.one_of(st.none(), st.integers(64, 8192).filter(
+               lambda n: n != BASE["numerics"]["ode_grid"])),
+           mode=st.sampled_from([None, "free", "fixed-outer"]))
+    @settings(max_examples=40, deadline=None)
+    def test_each_override_changes_the_hash(self, seed, grid, mode):
+        base = cli.parse_config(json.dumps(BASE))["hash"]
+        raw = cli.with_overrides(BASE, seed=seed, grid=grid, mode=mode)
+        cfg = cli.parse_config(raw)
+        changed = (seed, grid, mode) != (None, None, None)
+        assert (cfg["hash"] != base) == changed
+        assert cfg["numerics"]["seed"] == (0 if seed is None else seed)
+        assert cfg["numerics"]["ode_grid"] == (grid or 1024)
+        assert cfg["mode"]["fixed_outer_boundary"] == (mode == "fixed-outer")
+        # the echoed config reproduces the run's hash
+        echo = json.loads(json.dumps({"config": cfg["raw"],
+                                      "hash": cfg["hash"]}))
+        assert cli.parse_config(echo["config"])["hash"] == echo["hash"]
+        for key, value in (("seed", seed), ("grid", grid), ("mode", mode)):
+            if value is not None:
+                others = {"seed": seed, "grid": grid, "mode": mode, key: None}
+                partial = cli.parse_config(cli.with_overrides(BASE, **others))
+                assert partial["hash"] != cfg["hash"]

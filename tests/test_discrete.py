@@ -6,9 +6,20 @@ from annular_dirichlet import discrete as dc
 from annular_dirichlet import radial as rd
 from annular_dirichlet.weights import Weight
 
+import form_oracle
+
 
 def unit():
     return Weight.constant(1.0, 1.0, 2.0)
+
+
+WEIGHTS = {
+    "1": Weight.constant(1.0, 1.0, 2.0),
+    "s": Weight.power(1.0, 1.0, 2.0),
+    "1/s": Weight.power(-1.0, 1.0, 2.0),
+    "2+sin4s": Weight.from_callable(lambda s: 2.0 + np.sin(4.0 * s), 1.0, 2.0,
+                                    samples=8193),
+}
 
 
 def identity_map(ns=64, ntheta=64, pair=None):
@@ -93,6 +104,133 @@ class TestMinimizeRadial:
         assert rv.s[plateau[-1]] == pytest.approx(np.sqrt(2.0), abs=5e-3)
         exact = 2 * np.pi * (3 / 8 + np.log(2) / 2)
         assert abs(rep.total - exact) / exact < 1e-2
+
+    def test_case1_one_solve_second_order(self):
+        pair = rd.AnnulusPair(1.0, 2.0, 1.0, 1.25)
+        gaps = []
+        for n in (256, 512, 1024, 2048):
+            _, rep = dc.minimize_radial(unit(), pair, n=n)
+            assert rep.iterations == 1
+            gaps.append(rep.total - 15 * np.pi / 8)
+        orders = np.log2(np.array(gaps[:-1]) / np.array(gaps[1:]))
+        np.testing.assert_allclose(orders, 2.0, atol=0.02)
+
+    def test_case2_contact_set_and_multipliers(self):
+        pair = rd.AnnulusPair(1.0, 2.0, 1.0, 3 / (2 * np.sqrt(2)))
+        n = 2048
+        rv, rep = dc.minimize_radial(unit(), pair, n=n)
+        assert rep.iterations <= 12
+        plateau = np.flatnonzero(rv.H == pair.r_star)
+        assert plateau.size > 100
+        np.testing.assert_array_equal(plateau, np.arange(plateau.size))
+        dt = np.log(2.0) / n
+        assert abs(np.log(rv.s[plateau[-1]]) - np.log(np.sqrt(2.0))) <= dt
+        t = np.log(rv.s)
+        diag, off = dc.CylinderForm(dc.cell_weights(unit(), t, 2.0), dt,
+                                    0.0).block(1)
+        grad = 2 * diag * rv.H
+        grad[1:] += 2 * off * rv.H[:-1]
+        grad[:-1] += 2 * off * rv.H[1:]
+        assert np.all(grad[1:plateau[-1] + 1] >= 0)
+        # off the contact set the profile is stationary
+        free = grad[plateau[-1] + 1:-1]
+        assert np.max(np.abs(free)) < 1e-9 * np.max(np.abs(grad))
+
+    # energies of the isotonic-projection FISTA that minimize_radial used
+    # before the banded solves (n = 2048, stopped after 10 quiet steps)
+    FISTA = {
+        ("1", 1.02): 4.388782866588676, ("1", 1.05): 4.4886224436112565,
+        ("1", 1.25): 5.890486267379128, ("1", 2.0): 18.84955592153876,
+        ("s", 1.02): 6.347105687667264, ("s", 1.05): 6.529666639367473,
+        ("s", 1.25): 8.865914919378111, ("s", 2.0): 28.821268492689313,
+        ("1/s", 1.02): 3.15924555146741, ("1/s", 1.05): 3.213643031001494,
+        ("1/s", 1.25): 4.0438071963577435, ("1/s", 2.0): 12.33184011541801,
+        ("2+sin4s", 1.02): 7.652558418221527,
+        ("2+sin4s", 1.05): 7.927460010089741,
+        ("2+sin4s", 1.25): 11.018841974031302,
+        ("2+sin4s", 2.0): 35.34328123296553,
+    }
+
+    @pytest.mark.parametrize("key", sorted(FISTA))
+    def test_not_above_the_projected_descent(self, key):
+        name, R_star = key
+        _, rep = dc.minimize_radial(WEIGHTS[name],
+                                    rd.AnnulusPair(1.0, 2.0, 1.0, R_star))
+        # a few ulps of slack: at R* = 2 the descent starts at the minimizer
+        old = self.FISTA[key]
+        assert rep.total <= old + 4 * np.spacing(old)
+
+    def _with_shifted_solves(self, monkeypatch, shift):
+        solve = dc.solveh_banded
+        monkeypatch.setattr(dc, "solveh_banded",
+                            lambda ab, b: solve(ab, b) + shift(b.size))
+
+    def test_negative_multiplier_raises(self, monkeypatch):
+        # the pinned solve dips below r_star, but lifted bisection solves
+        # leave it at every contact index: the bisection ends on a contact
+        # set the profile pulls away from
+        self._with_shifted_solves(monkeypatch, lambda m: 0.05 * (m < 255))
+        pair = rd.AnnulusPair(1.0, 2.0, 1.0, 1.06)
+        with pytest.raises(dc.FeasibilityError, match="multiplier"):
+            dc.minimize_radial(unit(), pair, n=256)
+
+    def test_non_monotone_profile_raises(self, monkeypatch):
+        self._with_shifted_solves(
+            monkeypatch, lambda m: 0.5 * (np.arange(m) == m // 2))
+        pair = rd.AnnulusPair(1.0, 2.0, 1.0, 2.0)
+        with pytest.raises(dc.FeasibilityError, match="monotone"):
+            dc.minimize_radial(unit(), pair, n=256)
+
+
+class TestCylinderForm:
+    @pytest.mark.parametrize("shape", [(48, 40), (128, 128)])
+    @pytest.mark.parametrize("name", sorted(WEIGHTS))
+    def test_matches_reference_form(self, name, shape):
+        w = WEIGHTS[name]
+        m = dc.perturb_map(identity_map(*shape, pair=rd.AnnulusPair(1, 2, 1, 2)),
+                           0.1, 3)
+        form = dc.CylinderForm.on(w, m)
+        lamc = np.asarray(w(np.minimum(np.exp(0.5 * (m.t[1:] + m.t[:-1])),
+                                       2.0)))[:, None]
+        E = form_oracle.energy(m.h, lamc, m.dt, m.dtheta)
+        assert abs(form.energy(m.h) - E) <= 1e-14 * E
+        # entries of the gradient cancel, so its rounding is measured
+        # against the operator bound L |h|, not against |G|
+        G = form_oracle.gradient(m.h, lamc, m.dt, m.dtheta)
+        scale = form.L * np.max(np.abs(m.h))
+        assert np.max(np.abs(form.grad(m.h) - G)) <= 1e-14 * scale
+        assert 0.5 * np.vdot(form.grad(m.h), m.h).real == \
+            pytest.approx(E, rel=1e-14)
+
+    def test_blocks_are_the_mode_restrictions(self):
+        m = identity_map(16, 12)
+        form = dc.CylinderForm.on(WEIGHTS["s"], m)
+        v = np.random.default_rng(4).standard_normal(16)
+        for k in range(12):
+            diag, off = form.block(k)
+            B = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+            h = v[:, None] * np.exp(1j * k * m.theta)[None, :]
+            E = form.energy(h)
+            assert v @ B @ v == pytest.approx(E, rel=1e-12)
+            if k == 1:
+                assert form.radial_energy(v) == pytest.approx(E, rel=1e-12)
+            np.testing.assert_allclose(
+                form.grad(h), (2 / 12) * (B @ v)[:, None]
+                * np.exp(1j * k * m.theta)[None, :], rtol=0, atol=1e-12 * E)
+
+    @pytest.mark.parametrize("ntheta", [12, 13])
+    def test_L_is_the_top_eigenvalue(self, ntheta):
+        m = identity_map(16, ntheta)
+        form = dc.CylinderForm.on(WEIGHTS["2+sin4s"], m)
+        lamc = form.lam[:, None]
+        N = m.h.size
+        cols = []
+        for e in np.eye(2 * N):
+            g = form_oracle.gradient((e[:N] + 1j * e[N:]).reshape(m.h.shape),
+                                     lamc, m.dt, m.dtheta)
+            cols.append(np.concatenate([g.real.ravel(), g.imag.ravel()]))
+        top = np.linalg.eigvalsh(np.array(cols)).max()
+        assert form.L == pytest.approx(top, rel=1e-12)
 
 
 class TestPolarEnergy:
@@ -182,6 +320,44 @@ class TestMinimizePolar:
         assert rep.total >= exact * (1 - 5e-3)
         assert rep.total <= exact * 1.05
         assert rep.negative_jacobian_fraction < 1e-2
+
+
+    @pytest.mark.parametrize("name, R_star, mode",
+                             [("1", 1.25, dc.MODE_FREE),
+                              ("1/s", 1.5, dc.MODE_FIXED_OUTER)])
+    def test_converged_descent_ends_at_radial_oracle(self, name, R_star, mode):
+        w, pair = WEIGHTS[name], rd.AnnulusPair(1.0, 2.0, 1.0, R_star)
+        m, rep = dc.minimize_polar(w, pair, ns=64, ntheta=64, mode=mode,
+                                   seed=2, perturbation=0.05, max_iter=20000)
+        assert rep.converged
+        lam = np.asarray(w(np.minimum(np.exp(0.5 * (m.t[1:] + m.t[:-1])),
+                                      pair.R)))
+        _, E = form_oracle.radial_minimum(lam, m.dt, m.dtheta, pair.r_star,
+                                          pair.R_star)
+        assert abs(rep.total - E) <= 1e-7 * E
+
+    def test_iterations_count_every_attempt(self, monkeypatch,
+                                            nitsche_solution):
+        # the first attempt fails its winding probe at step 100, the
+        # second runs to the cap
+        check = dc.PolarGridMap.check
+        calls = []
+
+        def second_call_fails(self, tol=1e-9):
+            calls.append(self)
+            if len(calls) == 2:
+                raise dc.AdmissibilityError("probe")
+            check(self, tol)
+
+        monkeypatch.setattr(dc.PolarGridMap, "check", second_call_fails)
+        with pytest.warns(RuntimeWarning, match="iteration cap"):
+            _, rep = dc.minimize_polar(
+                unit(), nitsche_solution.pair, ns=32, ntheta=32, seed=1,
+                perturbation=0.05, max_iter=150,
+                radial_solution=nitsche_solution)
+        assert len(calls) == 4
+        assert rep.iterations == 100 + 150
+        assert not rep.converged
 
 
 @given(seed=st.integers(min_value=0, max_value=10 ** 6),
