@@ -15,7 +15,7 @@ from .discrete import (EnergyReport, PolarGridMap, RadialVector, embed_radial,
 from .lagrangians import (CFunction, IdentityResidual, TestMapSpec,
                           fl_boundary_residual, fl_pullback_residual,
                           fl_radial_residual, fl_tangential_residual,
-                          isoperimetric_margin, isoperimetric_margins,
+                          isoperimetric_margins,
                           make_test_map, proof_step_suite)
 
 __version__ = "0.1.0"

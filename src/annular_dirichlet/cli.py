@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -66,8 +67,7 @@ def parse_config(text_or_dict):
     for key in ("modulus_tol",):
         if cfg["numerics"][key] <= 0:
             raise ConfigError(f"numerics.{key} must be positive")
-    if not isinstance(cfg["numerics"]["seed"], int):
-        raise ConfigError("numerics.seed must be an explicit integer")
+    _check_numerics(cfg["numerics"])
 
     if "pair" in raw:
         p = raw["pair"]
@@ -102,6 +102,29 @@ def parse_config(text_or_dict):
     cfg["hash"] = _config_hash(raw)
     cfg["raw"] = raw
     return cfg
+
+
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _check_numerics(num):
+    if not _is_int(num["seed"]):
+        raise ConfigError("numerics.seed must be an explicit integer")
+    for key in ("ode_grid", "radial_grid", "max_iter"):
+        if not (_is_int(num[key]) and num[key] > 0):
+            raise ConfigError(f"numerics.{key} must be a positive integer, "
+                              f"got {num[key]!r}")
+    grid = num["polar_grid"]
+    if not (isinstance(grid, list) and len(grid) == 2
+            and all(_is_int(n) and n >= 3 for n in grid)):
+        raise ConfigError("numerics.polar_grid must be two integers >= 3, "
+                          f"got {grid!r}")
+    p = num["perturbation"]
+    if not (isinstance(p, (int, float)) and not isinstance(p, bool)
+            and math.isfinite(p) and p >= 0):
+        raise ConfigError("numerics.perturbation must be a finite number "
+                          f">= 0, got {p!r}")
 
 
 def with_overrides(raw, seed=None, grid=None, mode=None):

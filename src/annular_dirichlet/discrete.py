@@ -104,9 +104,18 @@ class PolarGridMap:
             pinned = p.R_star * np.exp(1j * self.theta)
             if np.max(np.abs(self.h[-1] - pinned)) > tol:
                 raise AdmissibilityError("outer row must be pinned in fixed mode")
-        for i in (0, self.ns // 2, self.ns - 1):
-            if winding_number(self, i) != 1:
-                raise AdmissibilityError(f"row {i} winding is not +1")
+        i = _bad_row(self)
+        if i is not None:
+            raise AdmissibilityError(f"row {i} winding is not +1")
+
+
+def _bad_row(m: PolarGridMap):
+    """The first of rows 0, ns // 2, ns - 1 that does not wind once about
+    the origin, or None."""
+    for i in (0, m.ns // 2, m.ns - 1):
+        if winding_number(m, i) != 1:
+            return i
+    return None
 
 
 def winding_number(m: PolarGridMap, row):
@@ -196,16 +205,24 @@ class CylinderForm:
         g[:-1, 0] -= minus[:, -1]
         return g
 
+    @property
+    def ntheta(self):
+        return round(2 * np.pi / self.dtheta)
+
     def _factors(self, k):
         x = k * self.dtheta / 2
         return np.cos(x) ** 2, (k * np.sinc(x / np.pi)) ** 2
 
     def block(self, k):
-        """(diagonal, off-diagonal) of B_k."""
-        c, d = self._factors(k)
+        """(diagonal, off-diagonal) of B_k; for an array of modes k, one
+        row of each per mode."""
+        c, d = self._factors(np.asarray(k, dtype=float)[..., None])
         scale = 2 * np.pi * self.dt * self.lam
         a = scale * (c / self.dt ** 2 + d / 4)
-        return np.r_[a, 0.0] + np.r_[0.0, a], scale * (d / 4 - c / self.dt ** 2)
+        diag = np.zeros(a.shape[:-1] + (a.shape[-1] + 1,))
+        diag[..., :-1] += a
+        diag[..., 1:] += a
+        return diag, scale * (d / 4 - c / self.dt ** 2)
 
     @property
     def L(self):
@@ -216,8 +233,35 @@ class CylinderForm:
         n = self.lam.size
         top = max(eigvalsh_tridiagonal(*self.block(k), select="i",
                                        select_range=(n, n))[0]
-                  for k in (0, round(2 * np.pi / self.dtheta) // 2))
+                  for k in (0, self.ntheta // 2))
         return top * self.dtheta / np.pi
+
+    def boundary_reduction(self):
+        """Exact elimination of the interior rows, mode by mode, for the
+        distinct modes k = 0 .. ntheta // 2 (B_k = B_{ntheta - k}).
+
+        Returns (Z, S), Z of shape (modes, ns - 2, 2) and S of shape
+        (modes, 2, 2).  Split B_k into the boundary nodes 0, ns - 1 and
+        the interior: for boundary values b the interior minimizer is
+        -Z[k] b with Z[k] = B_II^{-1} B_IB, and the minimum is b^H S[k] b
+        with the Schur complement S[k] = B_BB - B_BI Z[k].  The interior
+        blocks of all modes are solved as one banded system.
+        """
+        diag, off = self.block(np.arange(self.ntheta // 2 + 1))
+        modes, n = diag.shape[0], diag.shape[1] - 2
+        ab = np.zeros((2, modes, n))    # upper form; 0 couples the blocks
+        ab[0, :, 1:] = off[:, 1:-1]
+        ab[1] = diag[:, 1:-1]
+        rhs = np.zeros((modes, n, 2))
+        rhs[:, 0, 0] = off[:, 0]
+        rhs[:, -1, 1] = off[:, -1]
+        Z = solveh_banded(ab.reshape(2, modes * n),
+                          rhs.reshape(modes * n, 2)).reshape(modes, n, 2)
+        S = np.empty((modes, 2, 2))
+        S[:, 0, 0] = diag[:, 0] - off[:, 0] * Z[:, 0, 0]
+        S[:, 0, 1] = S[:, 1, 0] = -off[:, 0] * Z[:, 0, 1]
+        S[:, 1, 1] = diag[:, -1] - off[:, -1] * Z[:, -1, 1]
+        return Z, S
 
     def radial_energy(self, H):
         """Energy of h = H(t) e^{i theta}, from the differences of H."""
@@ -358,9 +402,8 @@ def perturb_map(m: PolarGridMap, amplitude, seed, kmax=4):
                        t=m.t, theta=m.theta)
     if m.mode == MODE_FIXED_OUTER:
         out.h[-1] = m.pair.R_star * np.exp(1j * m.theta)
-    for i in (0, out.ns // 2, out.ns - 1):
-        if winding_number(out, i) != 1:
-            raise AdmissibilityError("perturbation destroyed the row winding")
+    if _bad_row(out) is not None:
+        raise AdmissibilityError("perturbation destroyed the row winding")
     return out
 
 
@@ -381,6 +424,63 @@ def _project(h, m: PolarGridMap):
     return out
 
 
+def _descend(x0, grad, project, winds, L, max_iter, tol):
+    """Projected FISTA with function-value restarts and step 1/L on the
+    quadratic with gradient `grad`.  The gradient is linear, so a step
+    applies it once, to the new iterate: its gradient G gives its energy
+    Re<G, x>/2 and, with the previous one, the gradient at the
+    extrapolated point.  `winds` is probed every 100 steps and at the
+    end; a failure restarts from x0 with half the step, at most four
+    attempts.  Stops after 10 steps whose energy changes by at most tol
+    (relative).  Returns (x, steps of all attempts, converged).
+    """
+    step_scale = 1.0
+    iterations = 0
+    for attempt in range(4):
+        h = x0.copy()
+        G_h = grad(h)
+        E_cur = 0.5 * np.vdot(G_h, h).real
+        y, G_y = h, G_h
+        t_k = 1.0
+        quiet = 0
+        it = 0
+        converged = False
+        ok = True
+        for it in range(1, max_iter + 1):
+            h_new = project(y - (step_scale / L) * G_y)
+            G_new = grad(h_new)
+            E_new = 0.5 * np.vdot(G_new, h_new).real
+            if E_new > E_cur:   # momentum overshoot: restart from h
+                t_k = 1.0
+                h_new = project(h - (step_scale / L) * G_h)
+                G_new = grad(h_new)
+                E_new = 0.5 * np.vdot(G_new, h_new).real
+            t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_k * t_k))
+            beta = (t_k - 1.0) / t_next
+            y = h_new + beta * (h_new - h)
+            G_y = (1.0 + beta) * G_new - beta * G_h
+            t_k = t_next
+            if it % 100 == 0 and not winds(h_new):
+                ok = False
+                break
+            quiet = quiet + 1 if abs(E_new - E_cur) <= tol * max(abs(E_new), 1.0) \
+                else 0
+            h, G_h, E_cur = h_new, G_new, E_new
+            if quiet >= 10:
+                converged = True
+                break
+        iterations += it
+        if ok and winds(h):
+            break
+        step_scale *= 0.5
+    else:
+        raise FeasibilityError("descent kept leaving the admissible class")
+    if not converged and it >= max_iter:
+        warnings.warn("minimize_polar hit the iteration cap; "
+                      "returning the best iterate", RuntimeWarning)
+    return h, iterations, converged
+
+
 def minimize_polar(w: Weight, pair: rd.AnnulusPair, ns=256, ntheta=256,
                    mode=MODE_FREE, init: PolarGridMap | None = None,
                    seed=0, perturbation=0.0, max_iter=2000, tol=1e-12,
@@ -388,14 +488,19 @@ def minimize_polar(w: Weight, pair: rd.AnnulusPair, ns=256, ntheta=256,
     """Projected descent over admissible polar-grid maps.
 
     Default initialization is the embedded radial minimizer, optionally
-    with a seeded smooth perturbation.  The projection clamps moduli into
-    [r_star, R_star] and re-pins the boundary rows for the mode; row
-    windings are monitored and a winding change triggers a restart with a
-    smaller step.  Steps are accelerated (FISTA with function-value
-    restarts) with step 1/L.  The gradient is linear, so a step applies
-    the form once, to the new iterate: its gradient G gives its energy
-    Re<G, h>/2 and, with the previous one, the gradient at the
-    extrapolated point.  rep.iterations counts the steps of all attempts.
+    with a seeded smooth perturbation.  For fixed boundary rows the
+    interior minimizer of the form is linear in them
+    (`CylinderForm.boundary_reduction`), so the descent runs on the two
+    boundary rows only (row 0 only in fixed-outer mode): its gradient is
+    (2 / ntheta) ifft(S_k b_k) and its step 1/L_S, L_S = (2 / ntheta)
+    max_k lambda_max(S_k); the interior is their extension
+    -ifft(Z_k b_k).  If the final extension leaves [r_star, R_star], the
+    relaxation is infeasible (collapsing pairs) and the descent runs on
+    the whole grid from init instead, with the moduli clamped into
+    [r_star, R_star].  Both descents are `_descend`; the projection
+    re-pins the boundary rows for the mode, and row windings are probed
+    on the full map.  rep.iterations counts the steps of all attempts
+    of both.
     """
     if w.validate() is not None:
         raise ValueError("weight failed validation")
@@ -406,61 +511,44 @@ def minimize_polar(w: Weight, pair: rd.AnnulusPair, ns=256, ntheta=256,
     if perturbation > 0:
         init = perturb_map(init, perturbation, seed)
     init.check()
+    ns, ntheta = init.h.shape
     form = CylinderForm.on(w, init)
-    L = form.L
-    step_scale = 1.0
-    iterations = 0
-    for attempt in range(4):
-        h = init.h.copy()
-        G_h = form.grad(h)
-        E_cur = 0.5 * np.vdot(G_h, h).real
-        y, G_y = h, G_h
-        t_k = 1.0
-        quiet = 0
-        it = 0
-        converged = False
-        ok = True
-        for it in range(1, max_iter + 1):
-            h_new = _project(y - (step_scale / L) * G_y, init)
-            G_new = form.grad(h_new)
-            E_new = 0.5 * np.vdot(G_new, h_new).real
-            if E_new > E_cur:   # momentum overshoot: restart from h
-                t_k = 1.0
-                h_new = _project(h - (step_scale / L) * G_h, init)
-                G_new = form.grad(h_new)
-                E_new = 0.5 * np.vdot(G_new, h_new).real
-            t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_k * t_k))
-            beta = (t_k - 1.0) / t_next
-            y = h_new + beta * (h_new - h)
-            G_y = (1.0 + beta) * G_new - beta * G_h
-            t_k = t_next
-            if it % 100 == 0:
-                probe = PolarGridMap(h_new, pair, mode, t=init.t,
-                                     theta=init.theta)
-                try:
-                    probe.check()
-                except (AdmissibilityError, DegenerateRowError):
-                    ok = False
-                    break
-            quiet = quiet + 1 if abs(E_new - E_cur) <= tol * max(abs(E_new), 1.0) \
-                else 0
-            h, G_h, E_cur = h_new, G_new, E_new
-            if quiet >= 10:
-                converged = True
-                break
-        iterations += it
-        if ok:
-            out = PolarGridMap(h, pair, mode, t=init.t, theta=init.theta)
-            try:
-                out.check()
-                break
-            except (AdmissibilityError, DegenerateRowError):
-                pass
-        step_scale *= 0.5
-    else:
-        raise FeasibilityError("descent kept leaving the admissible class")
-    if not converged and it >= max_iter:
-        warnings.warn("minimize_polar hit the iteration cap; "
-                      "returning the best iterate", RuntimeWarning)
-    return out, EnergyReport(form.energy(out.h), iterations, converged,
+    Z, S = form.boundary_reduction()
+    L_S = 2 / ntheta * np.linalg.eigvalsh(S)[:, -1].max()
+    k = np.minimum(np.arange(ntheta), ntheta - np.arange(ntheta))
+    Z, S = Z[k], S[k]           # per column of fft(rows, axis=1)
+
+    def project(h):
+        return _project(h, init)
+
+    def winds(h):
+        try:
+            return _bad_row(PolarGridMap(h, pair, mode, t=init.t,
+                                         theta=init.theta)) is None
+        except DegenerateRowError:
+            return False
+
+    def reduced_grad(b):
+        bh = np.fft.fft(b, axis=1)
+        return (2 / ntheta) * np.fft.ifft(np.einsum("kab,bk->ak", S, bh),
+                                          axis=1)
+
+    def extend(b):
+        h = np.empty((ns, ntheta), dtype=complex)
+        h[[0, -1]] = b
+        h[1:-1] = -np.fft.ifft(np.einsum("kib,bk->ik", Z,
+                                         np.fft.fft(b, axis=1)), axis=1)
+        return h
+
+    b, iterations, converged = _descend(
+        init.h[[0, -1]], reduced_grad, project, lambda b: winds(extend(b)),
+        L_S, max_iter, tol)
+    h = extend(b)
+    mod = np.abs(h)
+    if mod.min() < pair.r_star - 1e-9 or mod.max() > pair.R_star + 1e-9:
+        h, steps, converged = _descend(init.h, form.grad, project, winds,
+                                       form.L, max_iter, tol)
+        iterations += steps
+    out = PolarGridMap(h, pair, mode, t=init.t, theta=init.theta)
+    return out, EnergyReport(form.energy(h), iterations, converged,
                              negative_jacobian_fraction(out))

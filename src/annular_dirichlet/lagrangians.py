@@ -174,21 +174,9 @@ def _apply2(f, a, b):
     return np.broadcast_to(np.asarray(out, dtype=float), shape)
 
 
-def isoperimetric_margin(m: dc.PolarGridMap, row):
-    """Row margin (1/2pi)(length)^2 - oriented area term, >= 0 for closed
-    curves; zero exactly on circles."""
-    z = m.h[row]
-    if np.any(np.abs(z) < 1e-300):
-        raise dc.DegenerateRowError(f"row {row} passes through the origin")
-    zth = theta_derivative(z)
-    dth = m.dtheta
-    length = float(np.sum(np.abs(zth))) * dth
-    area2 = float(np.sum(np.imag(np.conj(z) * zth))) * dth
-    return length ** 2 / (2 * np.pi) - area2
-
-
 def isoperimetric_margins(m: dc.PolarGridMap):
-    """All row margins at once (vectorized over rows)."""
+    """Row margins (1/2pi)(length)^2 - oriented area term, >= 0 for closed
+    curves and zero exactly on circles, for all rows at once."""
     if np.any(np.abs(m.h) < 1e-300):
         raise dc.DegenerateRowError("map passes through the origin")
     zth = theta_derivative(m.h)

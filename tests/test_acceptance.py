@@ -55,17 +55,20 @@ def test_criterion_02_case1_minimal_energy():
 
     lower = NITSCHE * (1 - 5e-3)
     polar_min = np.inf
+    converged = True
     for seed in range(N_SEEDS):
         _, prep = dc.minimize_polar(UNIT, pair, ns=256, ntheta=256,
                                     seed=seed, perturbation=0.05,
                                     max_iter=350, radial_solution=sol)
         polar_min = min(polar_min, prep.total)
+        converged &= prep.converged
     elapsed = time.perf_counter() - t0
-    ok = (closed_err < 1e-6 and radial_rel < 5e-3
+    ok = (closed_err < 1e-6 and radial_rel < 5e-3 and converged
           and polar_min >= lower and elapsed < 120.0)
     report(2, "expanding-target minimal energy (closed form, 1-D, 2-D)", ok,
            f"closed err {closed_err:.1e}, radial rel {radial_rel:.1e}, "
-           f"polar min/bound {polar_min / lower:.6f}, {elapsed:.0f}s")
+           f"polar min/bound {polar_min / lower:.6f}, "
+           f"converged {converged}, {elapsed:.0f}s")
 
 
 def test_criterion_03_case2_collapse():
@@ -111,15 +114,17 @@ def test_criterion_05_thin_target_threshold():
     sol = rd.build(w, pair)
     lower = sol.energy * (1 - 5e-3)
     polar_min = np.inf
+    converged = True
     for seed in range(N_SEEDS):
         _, prep = dc.minimize_polar(w, pair, ns=128, ntheta=128,
                                     seed=seed, perturbation=0.05,
                                     max_iter=250, radial_solution=sol)
         polar_min = min(polar_min, prep.total)
-    ok = g_ok and polar_min >= lower
+        converged &= prep.converged
+    ok = g_ok and converged and polar_min >= lower
     report(5, "thin-target threshold and no-competitor bound", ok,
            f"max g err {max(errs):.1e}, polar min/bound "
-           f"{polar_min / lower:.6f}")
+           f"{polar_min / lower:.6f}, converged {converged}")
 
 
 def test_criterion_06_fixed_outer_boundary():
@@ -129,16 +134,18 @@ def test_criterion_06_fixed_outer_boundary():
     fb = rd.fixed_boundary_coefficients(sol, w)
     lower = sol.energy * (1 - 5e-3)
     polar_min = np.inf
+    converged = True
     for seed in range(N_SEEDS):
         _, prep = dc.minimize_polar(w, pair, ns=128, ntheta=128,
                                     mode=dc.MODE_FIXED_OUTER, seed=seed,
                                     perturbation=0.05, max_iter=250,
                                     radial_solution=sol)
         polar_min = min(polar_min, prep.total)
-    ok = polar_min >= lower and fb.residual <= 1e-6
+        converged &= prep.converged
+    ok = converged and polar_min >= lower and fb.residual <= 1e-6
     report(6, "fixed outer boundary: radial optimality and coefficients", ok,
            f"polar min/bound {polar_min / lower:.6f}, "
-           f"coeff residual {fb.residual:.1e}")
+           f"coeff residual {fb.residual:.1e}, converged {converged}")
 
 
 def test_criterion_07_certificate():

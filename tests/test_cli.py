@@ -50,6 +50,30 @@ class TestParseConfig:
             cli.parse_config(json.dumps(bad))
         assert "modulus_tol" in str(err.value)
 
+    @pytest.mark.parametrize("key, value", [
+        ("ode_grid", "abc"), ("ode_grid", 0), ("ode_grid", 1024.5),
+        ("ode_grid", True), ("radial_grid", -4), ("radial_grid", None),
+        ("max_iter", 0), ("max_iter", 10.0),
+        ("polar_grid", [2, 2]), ("polar_grid", [48]), ("polar_grid", 48),
+        ("polar_grid", [48, 48, 48]), ("polar_grid", [48.0, 48]),
+        ("perturbation", -1), ("perturbation", float("nan")),
+        ("perturbation", float("inf")), ("perturbation", "0.1")])
+    def test_bad_numerics_named(self, key, value):
+        bad = dict(BASE)
+        bad["numerics"] = dict(BASE["numerics"], **{key: value})
+        with pytest.raises(cli.ConfigError, match=f"numerics.{key}"):
+            cli.parse_config(bad)
+
+    @pytest.mark.parametrize("numerics", [
+        {"polar_grid": [2, 2]}, {"ode_grid": "abc"}, {"max_iter": 0},
+        {"perturbation": -1}])
+    def test_bad_numerics_exit_2(self, tmp_path, capsys, numerics):
+        cfg = dict(BASE, numerics=dict(BASE["numerics"], **numerics))
+        p = write_config(tmp_path, cfg)
+        rc = cli.main(["direct", "--config", str(p), "--out", str(tmp_path)])
+        assert rc == 2
+        assert f"numerics.{next(iter(numerics))}" in capsys.readouterr().err
+
     def test_missing_weight(self):
         bad = {k: v for k, v in BASE.items() if k != "weight"}
         with pytest.raises(cli.ConfigError):

@@ -30,6 +30,27 @@ def identity_map(ns=64, ntheta=64, pair=None):
     return dc.PolarGridMap(h, pair, t=t, theta=theta)
 
 
+def twisted_map(pair, n, mode, amplitude=0.3):
+    """Admissible map with a linear profile whose boundary rows are
+    reparametrized circles: the inner row always, the outer row when free."""
+    t = np.linspace(np.log(pair.r), np.log(pair.R), n)
+    theta = 2 * np.pi * np.arange(n) / n
+    u = (t - t[0]) / (t[-1] - t[0])
+    angle = np.outer(1 - u, np.sin(theta) + 0.5 * np.cos(3 * theta))
+    if mode == dc.MODE_FREE:
+        angle += np.outer(u, np.cos(2 * theta + 1.0))
+    H = pair.r_star + (pair.R_star - pair.r_star) * u
+    h = H[:, None] * np.exp(1j * (theta[None, :] + amplitude * angle))
+    return dc.PolarGridMap(h, pair, mode, t=t, theta=theta)
+
+
+def oracle_minimum(w, m):
+    lam = np.asarray(w(np.minimum(np.exp(0.5 * (m.t[1:] + m.t[:-1])),
+                                  m.pair.R)))
+    return form_oracle.radial_minimum(lam, m.dt, m.dtheta, m.pair.r_star,
+                                      m.pair.R_star)[1]
+
+
 class TestPolarGridMap:
     def test_identity_is_admissible(self):
         identity_map().check()
@@ -232,6 +253,63 @@ class TestCylinderForm:
         top = np.linalg.eigvalsh(np.array(cols)).max()
         assert form.L == pytest.approx(top, rel=1e-12)
 
+    @pytest.mark.parametrize("mode", [dc.MODE_FREE, dc.MODE_FIXED_OUTER])
+    @pytest.mark.parametrize("ntheta", [12, 13])
+    def test_boundary_reduction_is_the_dense_schur_complement(self, ntheta,
+                                                              mode):
+        ns = 16
+        m = identity_map(ns, ntheta)
+        form = dc.CylinderForm.on(WEIGHTS["2+sin4s"], m)
+        Z, S = form.boundary_reduction()
+        assert Z.shape == (ntheta // 2 + 1, ns - 2, 2)
+        k = np.minimum(np.arange(ntheta), ntheta - np.arange(ntheta))
+
+        # dense real Hessian of the form: E = x^T A x / 2 on x = (Re h, Im h)
+        N = ns * ntheta
+        cols = []
+        for e in np.eye(2 * N):
+            g = form.grad((e[:N] + 1j * e[N:]).reshape(ns, ntheta))
+            cols.append(np.concatenate([g.real.ravel(), g.imag.ravel()]))
+        A = np.array(cols)
+        node = np.arange(N).reshape(ns, ntheta)
+
+        def real(rows):     # indices of (Re, Im) of the nodes in rows
+            return np.r_[node[rows].ravel(), N + node[rows].ravel()]
+
+        moving = [0] if mode == dc.MODE_FIXED_OUTER else [0, ns - 1]
+        U, I = real(moving), real(slice(1, -1))
+        B = real([0, ns - 1])
+
+        def as_complex(x, rows):
+            return (x[:x.size // 2] + 1j * x[x.size // 2:]).reshape(rows, -1)
+
+        # Schur complement on the moving rows, interior eliminated
+        dense_S = A[np.ix_(U, U)] - A[np.ix_(U, I)] @ np.linalg.solve(
+            A[np.ix_(I, I)], A[np.ix_(I, U)])
+        rng = np.random.default_rng(0)
+        for _ in range(3):
+            b = rng.standard_normal((2, ntheta)) \
+                + 1j * rng.standard_normal((2, ntheta))
+            bh = np.fft.fft(b, axis=1)
+            # reduced gradient on the moving rows: (2/ntheta) ifft(S_k b_k)
+            g = (2 / ntheta) * np.fft.ifft(
+                np.einsum("kab,bk->ak", S[k], bh), axis=1)[:len(moving)]
+            bu = b[:len(moving)]
+            expect = dense_S @ np.r_[bu.real.ravel(), bu.imag.ravel()]
+            if mode == dc.MODE_FIXED_OUTER:   # the outer row enters as data
+                expect += (A[np.ix_(U, real([ns - 1]))] - A[np.ix_(U, I)]
+                           @ np.linalg.solve(A[np.ix_(I, I)],
+                                             A[np.ix_(I, real([ns - 1]))])) \
+                    @ np.r_[b[1].real, b[1].imag]
+            np.testing.assert_allclose(g, as_complex(expect, len(moving)),
+                                       rtol=0, atol=1e-12 * np.abs(S).max())
+            # interior minimizer for these boundary rows
+            interior = -np.linalg.solve(A[np.ix_(I, I)], A[np.ix_(I, B)]
+                                        @ np.r_[b.real.ravel(), b.imag.ravel()])
+            ext = -np.fft.ifft(np.einsum("kib,bk->ik", Z[k], bh), axis=1)
+            np.testing.assert_allclose(ext, as_complex(interior, ns - 2),
+                                       rtol=0, atol=1e-12)
+
 
 class TestPolarEnergy:
     def test_identity_energy(self):
@@ -330,33 +408,63 @@ class TestMinimizePolar:
         m, rep = dc.minimize_polar(w, pair, ns=64, ntheta=64, mode=mode,
                                    seed=2, perturbation=0.05, max_iter=20000)
         assert rep.converged
-        lam = np.asarray(w(np.minimum(np.exp(0.5 * (m.t[1:] + m.t[:-1])),
-                                      pair.R)))
-        _, E = form_oracle.radial_minimum(lam, m.dt, m.dtheta, pair.r_star,
-                                          pair.R_star)
-        assert abs(rep.total - E) <= 1e-7 * E
+        E = oracle_minimum(w, m)
+        assert abs(rep.total - E) <= 1e-12 * E
+
+    @pytest.mark.parametrize("name, R_star, mode",
+                             [("1", 1.25, dc.MODE_FREE),
+                              ("1/s", 1.5, dc.MODE_FIXED_OUTER)])
+    def test_twisted_boundary_rows_end_at_radial_oracle(self, name, R_star,
+                                                        mode):
+        w, pair = WEIGHTS[name], rd.AnnulusPair(1.0, 2.0, 1.0, R_star)
+        init = twisted_map(pair, 64, mode)
+        init.check()
+        m, rep = dc.minimize_polar(w, pair, mode=mode, init=init)
+        assert rep.converged and rep.iterations > 10
+        m.check()
+        E = oracle_minimum(w, m)
+        assert abs(rep.total - E) <= 1e-12 * E
+
+    # energy of the full-grid projected FISTA before the boundary
+    # reduction, from the same 32 x 32 init (tol 1e-12, 45 steps)
+    FULL_GRID_COLLAPSE = 4.518751247533227
+
+    def test_infeasible_relaxation_falls_back_to_full_grid(
+            self, collapse_solution):
+        pair = collapse_solution.pair
+        init = dc.embed_radial(collapse_solution, 32, 32)
+        init.h *= np.maximum(np.abs(init.h), pair.r_star) / np.abs(init.h)
+        init.check()
+        m, rep = dc.minimize_polar(unit(), pair, init=init)
+        m.check()
+        assert rep.converged
+        assert rep.total < dc.polar_energy(unit(), init).total
+        assert rep.total == pytest.approx(self.FULL_GRID_COLLAPSE, rel=1e-14)
+        # the boundary descent's 10 quiet steps, then the full grid's 45
+        assert rep.iterations == 10 + 45
 
     def test_iterations_count_every_attempt(self, monkeypatch,
-                                            nitsche_solution):
-        # the first attempt fails its winding probe at step 100, the
-        # second runs to the cap
-        check = dc.PolarGridMap.check
+                                            collapse_solution):
+        # on a collapsing pair the boundary descent converges in 10 steps
+        # and its extension leaves the annulus, so the full grid descends
+        # (about 680 steps): its first attempt fails the winding probe at
+        # step 100, the second runs to the cap
+        bad_row = dc._bad_row
         calls = []
 
-        def second_call_fails(self, tol=1e-9):
-            calls.append(self)
-            if len(calls) == 2:
-                raise dc.AdmissibilityError("probe")
-            check(self, tol)
+        def fourth_call_fails(m):
+            # 1: perturb_map, 2: init.check, 3: end of the boundary descent
+            calls.append(m)
+            return 0 if len(calls) == 4 else bad_row(m)
 
-        monkeypatch.setattr(dc.PolarGridMap, "check", second_call_fails)
+        monkeypatch.setattr(dc, "_bad_row", fourth_call_fails)
         with pytest.warns(RuntimeWarning, match="iteration cap"):
             _, rep = dc.minimize_polar(
-                unit(), nitsche_solution.pair, ns=32, ntheta=32, seed=1,
+                unit(), collapse_solution.pair, ns=32, ntheta=32, seed=1,
                 perturbation=0.05, max_iter=150,
-                radial_solution=nitsche_solution)
-        assert len(calls) == 4
-        assert rep.iterations == 100 + 150
+                radial_solution=collapse_solution)
+        assert len(calls) == 6
+        assert rep.iterations == 10 + 100 + 150
         assert not rep.converged
 
 

@@ -97,8 +97,9 @@ class TestIdentities:
 class TestIsoperimetric:
     def test_circle_is_exact_equality(self):
         m = lg.make_test_map(radial_spec(64, 64))
+        margins = lg.isoperimetric_margins(m)
         for row in (0, 30, 63):
-            assert abs(lg.isoperimetric_margin(m, row)) < 1e-12
+            assert abs(margins[row]) < 1e-12
 
     def test_perturbed_rows_nonnegative(self):
         m = lg.make_test_map(perturbed_spec(seed=9, amplitude=0.1))
@@ -109,14 +110,17 @@ class TestIsoperimetric:
         m = lg.make_test_map(perturbed_spec(seed=5))
         margins = lg.isoperimetric_margins(m)
         for row in (0, 17, 200):
+            zth = lg.theta_derivative(m.h[row])
+            length = float(np.sum(np.abs(zth))) * m.dtheta
+            area2 = float(np.sum(np.imag(np.conj(m.h[row]) * zth))) * m.dtheta
             assert margins[row] == pytest.approx(
-                lg.isoperimetric_margin(m, row), abs=1e-12)
+                length ** 2 / (2 * np.pi) - area2, abs=1e-12)
 
     def test_degenerate_row_raises(self):
         m = lg.make_test_map(radial_spec(32, 32))
         m.h[4] = 0.0
         with pytest.raises(dc.DegenerateRowError):
-            lg.isoperimetric_margin(m, 4)
+            lg.isoperimetric_margins(m)
 
 
 class TestProofSteps:
