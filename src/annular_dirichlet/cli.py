@@ -13,6 +13,7 @@ import hashlib
 import json
 import math
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -27,13 +28,12 @@ DEFAULTS = {
         "ode_grid": 4096,
         "polar_grid": [256, 256],
         "radial_grid": 2048,
-        "modulus_tol": 1e-10,
         "max_iter": 2000,
         "seed": 0,
         "perturbation": 0.0,
     },
     "mode": {"fixed_outer_boundary": False},
-    "output": {"directory": ".", "formats": ["csv", "json"]},
+    "output": {"directory": "."},
 }
 
 KNOWN_TOP = {"weight", "pair", "rho", "rho_values", "numerics", "mode", "output"}
@@ -64,9 +64,6 @@ def parse_config(text_or_dict):
         extra = set(cfg[section]) - set(DEFAULTS[section])
         if extra:
             raise ConfigError(f"unknown {section} keys: {sorted(extra)}")
-    for key in ("modulus_tol",):
-        if cfg["numerics"][key] <= 0:
-            raise ConfigError(f"numerics.{key} must be positive")
     _check_numerics(cfg["numerics"])
 
     if "pair" in raw:
@@ -93,10 +90,18 @@ def parse_config(text_or_dict):
         r, R = 1.0, max(cfg["rho_values"])
     else:
         raise ConfigError("config needs a pair or a rho/rho_values query")
-    try:
-        cfg["weight"] = weight_from_config(raw["weight"], r, R)
-    except WeightError as e:
-        raise ConfigError(str(e)) from e
+    # the weight spec read on each ratio's own interval [r, r rho] (on the
+    # widest one a non-constant weight has the wrong ratio for the others),
+    # then on the domain
+    ratios = cfg.get("rho_values", [])
+    weights = []
+    for label, end in [(f"rho {rho:g}: ", r * rho) for rho in ratios] + [("", R)]:
+        try:
+            weights.append(weight_from_config(raw["weight"], r, end))
+        except WeightError as e:
+            raise ConfigError(label + str(e)) from e
+    *ratio_weights, cfg["weight"] = weights
+    cfg["ratio_weights"] = list(zip(ratios, ratio_weights))
     if cfg["weight"].validate() is not None:
         raise ConfigError("weight failed positivity validation")
     cfg["hash"] = _config_hash(raw)
@@ -203,25 +208,15 @@ def cmd_solve(cfg, out):
     return 0
 
 
-def _threshold_rows(cfg):
-    """(rho, m, g) per ratio.  Each ratio reads the weight spec on its own
-    interval [r, r rho], r the configured left end: a non-constant weight
-    built once on the widest interval has the wrong ratio for the others."""
-    n = cfg["numerics"]["ode_grid"]
-    r = cfg["weight"].r
-    rows = []
-    for rho in cfg["rho_values"]:
-        w = weight_from_config(cfg["weight_spec"], r, r * rho)
-        rows.append((float(rho), rd.threshold_m(w, rho, n=n),
-                     rd.threshold_g(w, rho, n=n)))
-    return rows
-
-
-def cmd_threshold(cfg, out):
+def cmd_thresholds(cfg, out, table):
+    """(rho, m, g) per ratio, each on its own interval (see parse_config):
+    the threshold and sweep commands, which differ in the table's name."""
     if not cfg.get("rho_values"):
-        raise ConfigError("threshold needs rho or rho_values")
-    _write_csv(out / "thresholds.csv", _meta(cfg),
-               ["rho", "m_lambda", "g_lambda"], _threshold_rows(cfg))
+        raise ConfigError("a threshold table needs rho or rho_values")
+    n = cfg["numerics"]["ode_grid"]
+    rows = [(rho, rd.threshold_m(w, rho, n=n), rd.threshold_g(w, rho, n=n))
+            for rho, w in cfg["ratio_weights"]]
+    _write_csv(out / table, _meta(cfg), ["rho", "m_lambda", "g_lambda"], rows)
     return 0
 
 
@@ -309,17 +304,10 @@ def cmd_verify(cfg, out):
     return 0 if worst < 1e-2 else 1
 
 
-def cmd_sweep(cfg, out):
-    if not cfg.get("rho_values"):
-        raise ConfigError("sweep needs rho_values")
-    _write_csv(out / "sweep.csv", _meta(cfg),
-               ["rho", "m_lambda", "g_lambda"], _threshold_rows(cfg))
-    return 0
-
-
-COMMANDS = {"solve": cmd_solve, "threshold": cmd_threshold,
-            "energy": cmd_energy, "direct": cmd_direct,
-            "verify": cmd_verify, "sweep": cmd_sweep}
+COMMANDS = {"solve": cmd_solve,
+            "threshold": partial(cmd_thresholds, table="thresholds.csv"),
+            "energy": cmd_energy, "direct": cmd_direct, "verify": cmd_verify,
+            "sweep": partial(cmd_thresholds, table="sweep.csv")}
 
 
 def main(argv=None):

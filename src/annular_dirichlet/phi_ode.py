@@ -15,7 +15,8 @@ through H'/H = Phi/(s lambda), i.e. H(s) = r_star * exp(int Phi/lambda dt).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.integrate import simpson
@@ -34,14 +35,20 @@ class AccuracyError(RuntimeError):
 
 @dataclass
 class PhiSolution:
-    s: np.ndarray            # radii, uniform in log s
-    t: np.ndarray            # log radii
+    grid: OdeGrid            # the grid the path lives on (n or 2n nodes)
     phi_tilde: np.ndarray
     phi: np.ndarray | None   # max(0, phi_tilde); None before clamping
     phi0: float
     r0: float | None         # collapse radius; None before clamping
     residual: float          # max ODE defect on the grid
-    step_error: float        # step-halving estimate at the right endpoint
+
+    @property
+    def s(self):              # radii, uniform in log s
+        return self.grid.s
+
+    @property
+    def t(self):              # log radii
+        return self.grid.t
 
     @property
     def r(self):
@@ -69,8 +76,8 @@ class OdeGrid:
     """Log-uniform grid with the weight pretabulated at nodes and half nodes.
 
     Reusable across solves with different initial values: the RK4
-    fundamental matrices of the linearised equation are built on first use
-    and turn every later `integrate` into a few O(n) array operations.
+    fundamental matrix of the linearised equation is built on first use
+    and turns every later `integrate` into a few O(n) array operations.
     """
 
     def __init__(self, w: Weight, r, R, n=DEFAULT_N):
@@ -93,25 +100,22 @@ class OdeGrid:
         self.lam = lam_fine[::2]          # at nodes
         self.lam_half = lam_fine[1::2]    # at midpoints
         self.lam_max = float(lam_fine.max())
-        self._fundamental = {}            # every -> (H, lambda H_t) columns
 
-    def integrate(self, phi0, every=1):
-        """RK4 path of phi_tilde from the left endpoint; step = every*h.
+    @cached_property
+    def columns(self):
+        """(h0, h1, q0, q1): the fundamental matrix F at every node, as the
+        paths y = (H, lambda H_t) = F y(r) from y(r) = (1, 0) (h0, q0) and
+        from y(r) = (0, 1) (h1, q1)."""
+        return _fundamental_columns(
+            _rk4_propagators(self.lam, self.lam_half, self.h))
 
-        phi_tilde = q/H for y = (H, q) = F (1, phi0), where F is the
-        fundamental matrix of the linear system.  From the first node with
-        H <= 0 on, the Riccati solution has blown up to -inf.
+    def integrate(self, phi0):
+        """RK4 path of phi_tilde from the left endpoint.
+
+        phi_tilde = q/H for y = (H, q) = F (1, phi0).  From the first node
+        with H <= 0 on, the Riccati solution has blown up to -inf.
         """
-        if every not in (1, 2):
-            raise ValueError("every must be 1 or 2")
-        if every not in self._fundamental:
-            if every == 1:
-                lam, lam_half = self.lam, self.lam_half
-            else:
-                lam, lam_half = self.lam[::2], self.lam[1::2]
-            self._fundamental[every] = _fundamental_columns(
-                _rk4_propagators(lam, lam_half, self.h * every))
-        h0, h1, q0, q1 = self._fundamental[every]
+        h0, h1, q0, q1 = self.columns
         phi0 = float(phi0)
         H = h0 + phi0 * h1
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -177,24 +181,21 @@ def solve_phi_tilde(w: Weight, r, R, phi0, n=DEFAULT_N,
         raise ValueError("weight failed validation")
     g = grid if grid is not None else OdeGrid(w, r, R, n)
     y = g.integrate(phi0)
-    coarse = g.integrate(phi0, every=2)
-    step_error = abs(y[-1] - coarse[-1]) / 15.0
     residual = _ode_residual(g, y)
     if residual > tol:
-        g2 = OdeGrid(w, r, R, 2 * g.n)
-        y2 = g2.integrate(phi0)
-        if _ode_residual(g2, y2) > tol:
-            raise AccuracyError(
-                f"ODE residual {residual:.3e} above {tol:.1e} at n and 2n")
-        g, y = g2, y2
+        g = OdeGrid(w, r, R, 2 * g.n)
+        y = g.integrate(phi0)
         residual = _ode_residual(g, y)
+        if residual > tol:
+            raise AccuracyError(
+                f"ODE residual {residual:.3e} above {tol:.1e} at 2n nodes")
     bound = max(abs(phi0), g.lam_max) * (1 + 1e-12) + 1e-15
     if not np.max(np.abs(y)) <= bound:
         raise AccuracyError(
             f"a priori bound violated: max |phi_tilde| "
             f"{np.max(np.abs(y)):.6g} above {bound:.6g}")
-    return PhiSolution(s=g.s, t=g.t, phi_tilde=y, phi=None, phi0=float(phi0),
-                       r0=None, residual=residual, step_error=step_error)
+    return PhiSolution(grid=g, phi_tilde=y, phi=None, phi0=float(phi0),
+                       r0=None, residual=residual)
 
 
 def _ode_residual(g: OdeGrid, y):
@@ -255,9 +256,7 @@ def clamp_and_collapse(p: PhiSolution, w: Weight | None = None):
     else:
         i = int(np.searchsorted(p.phi_tilde >= 0, True))
         r0 = _refine_root(p, w, i - 1)
-    return PhiSolution(s=p.s, t=p.t, phi_tilde=p.phi_tilde, phi=phi,
-                       phi0=p.phi0, r0=float(r0), residual=p.residual,
-                       step_error=p.step_error)
+    return replace(p, phi=phi, r0=float(r0))
 
 
 def _refine_root(p: PhiSolution, w: Weight | None, i):
@@ -282,15 +281,6 @@ def _refine_root(p: PhiSolution, w: Weight | None, i):
         roots = np.roots(cubic)
         u = float(np.clip(roots[np.argmin(np.abs(roots - u))].real, 0.0, 1.0))
     return np.exp(t_lo + u * (t_hi - t_lo))
-
-
-def modulus_of(p: PhiSolution, w: Weight):
-    """Quadrature of Phi/(s lambda) ds, the log-modulus of the target."""
-    if not p.clamped:
-        raise ValueError("clamp_and_collapse must run before modulus_of")
-    lam = np.asarray(w(p.s), dtype=float)
-    h = p.t[1] - p.t[0]
-    return float(simpson(p.phi / lam, dx=h))
 
 
 def recover_H(p: PhiSolution, w: Weight, r_star):

@@ -15,13 +15,12 @@ import numpy as np
 from scipy.integrate import simpson
 
 from .phi_ode import (DEFAULT_N, OdeGrid, PhiSolution, RadialProfile,
-                      clamp_and_collapse, fd_derivative, modulus_of,
-                      recover_H, solve_phi_tilde)
+                      clamp_and_collapse, fd_derivative, recover_H,
+                      solve_phi_tilde)
 from .weights import Weight
 
 MODULUS_TOL = 1e-10
 PHI0_INTERVAL_TOL = 1e-12
-G_PREDICATE_SLACK = 1e-10
 RATIO_RTOL = 1e-12         # interval ratios this close are the same ratio
 MAX_BRACKET_DOUBLINGS = 60
 
@@ -161,60 +160,42 @@ def build(w: Weight, pair: AnnulusPair, n=DEFAULT_N):
     return sol
 
 
-def threshold_m(w: Weight, rho, n=DEFAULT_N):
-    """Homeomorphism threshold: exp of the modulus integral at phi0 = 0."""
+def _threshold_grid(w: Weight, rho, n):
+    """Grid for a threshold at ratio rho.  Thresholds depend only on the
+    ratio: the weight's own interval serves when its ratio is rho,
+    otherwise [1, rho] with a transported copy of the weight."""
     if rho <= 1:
         raise ValueError(f"need rho > 1, got {rho}")
     r, R = w.r, w.R
     if not np.isclose(R / r, rho, rtol=RATIO_RTOL, atol=0.0):
-        # thresholds depend only on the ratio; reuse the weight's interval
-        # only when it matches, otherwise solve on [1, rho] with a
-        # transported copy of the weight
-        w = _transport(w, 1.0, rho)
-        r, R = 1.0, rho
-    p = clamp_and_collapse(solve_phi_tilde(w, r, R, 0.0, n=n), w)
-    return float(np.exp(modulus_of(p, w)))
+        w, r, R = _transport(w, 1.0, rho), 1.0, rho
+    return OdeGrid(w, r, R, n)
+
+
+def threshold_m(w: Weight, rho, n=DEFAULT_N):
+    """Homeomorphism threshold: exp of the modulus integral at phi0 = 0."""
+    g = _threshold_grid(w, rho, n)
+    p = solve_phi_tilde(g.w, g.s[0], g.s[-1], 0.0, grid=g)
+    # the path may live on the doubled grid, so take its own quadrature
+    return float(np.exp(p.grid.modulus(np.maximum(0.0, p.phi_tilde))))
 
 
 def threshold_g(w: Weight, rho, n=DEFAULT_N):
     """Thin-target threshold: exp of the modulus of the largest solution
-    staying below the weight everywhere."""
-    if rho <= 1:
-        raise ValueError(f"need rho > 1, got {rho}")
-    r, R = w.r, w.R
-    if not np.isclose(R / r, rho, rtol=RATIO_RTOL, atol=0.0):
-        w = _transport(w, 1.0, rho)
-        r, R = 1.0, rho
-    g = OdeGrid(w, r, R, n)
-    slack = G_PREDICATE_SLACK * g.lam_max
+    staying below the weight everywhere.
 
-    def admissible(phi0):
-        y = g.integrate(phi0)
-        return float(np.max(np.maximum(0.0, y) - g.lam)) <= slack
-
-    lo, hi = 0.0, g.lam_max * (1 + 1e-6)
-    step = g.lam_max
-    for _ in range(MAX_BRACKET_DOUBLINGS):
-        if admissible(lo):
-            break
-        step *= 2.0
-        lo -= step
-    else:
-        raise NoSolutionError("no admissible initial value found")
-    for _ in range(MAX_BRACKET_DOUBLINGS):
-        if not admissible(hi):
-            break
-        step *= 2.0
-        hi += step
-    scale = max(1.0, g.lam_max)
-    while hi - lo > PHI0_INTERVAL_TOL * scale:
-        mid = 0.5 * (lo + hi)
-        if admissible(mid):
-            lo = mid
-        else:
-            hi = mid
-    y = np.maximum(0.0, g.integrate(lo))
-    return float(np.exp(g.modulus(y)))
+    With (H, q) = F (1, phi0) from the grid's fundamental matrix, the
+    condition phi_tilde = q/H <= lambda at a node where H > 0 reads
+    a + phi0 b <= 0, a = q0 - lambda h0, b = q1 - lambda h1.  phi_tilde
+    grows with phi0, so the largest admissible phi0 is the least -a/b over
+    the nodes with b > 0 (b = 1 at the left end).
+    """
+    g = _threshold_grid(w, rho, n)
+    h0, h1, q0, q1 = g.columns
+    a, b = q0 - g.lam * h0, q1 - g.lam * h1
+    up = b > 0
+    phi_g = float(np.min(-a[up] / b[up]))
+    return float(np.exp(g.modulus(np.maximum(0.0, g.integrate(phi_g)))))
 
 
 def _transport(w: Weight, r, R):

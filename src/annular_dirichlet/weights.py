@@ -60,6 +60,8 @@ class Weight:
 
     @staticmethod
     def tabulated(abscissae, ordinates, r=None, R=None):
+        """Samples read on [r, R] (default: their own span).  An end inside
+        the sampled span gets the interpolated value there."""
         s = np.asarray(abscissae, dtype=float)
         lam = np.asarray(ordinates, dtype=float)
         if s.ndim != 1 or s.shape != lam.shape or s.size < 2:
@@ -68,9 +70,15 @@ class Weight:
             raise WeightError("tabulated abscissae must be strictly increasing")
         r = s[0] if r is None else float(r)
         R = s[-1] if R is None else float(R)
-        if not (np.isclose(s[0], r) and np.isclose(s[-1], R)):
-            raise WeightError("tabulated abscissae must cover [r, R] exactly")
         _check_interval(r, R)
+        at_r, at_R = np.isclose(s[0], r), np.isclose(s[-1], R)
+        if not ((at_r or s[0] < r) and (at_R or R < s[-1])):
+            raise WeightError(f"tabulated samples cover [{s[0]:g}, {s[-1]:g}], "
+                              f"not [{r:g}, {R:g}]")
+        if not (at_r and at_R):
+            a, b = (s[0] if at_r else r), (s[-1] if at_R else R)
+            cut = np.r_[a, s[(s > a) & (s < b)], b]
+            s, lam = cut, np.interp(cut, s, lam)
         w = Weight("tabulated", r, R)
         object.__setattr__(w, "abscissae", s)
         object.__setattr__(w, "ordinates", lam)

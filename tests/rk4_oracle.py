@@ -1,6 +1,7 @@
 """Independent oracle for `phi_ode`: fixed-step RK4 on the nonlinear
 characteristic equation dPhi/dt = lambda - Phi^2/lambda, one Python step at
-a time, and a bisection for the zero of phi_tilde inside one grid cell.
+a time, a bisection for the zero of phi_tilde inside one grid cell, and the
+thin-target threshold g by bracketing and bisection on the initial value.
 
 The package integrates the linearised equation instead; the two are
 different discretisations of the same ODE, so they agree to the RK4
@@ -10,14 +11,10 @@ truncation error, not bit for bit.
 import numpy as np
 
 
-def rk4_path(grid, phi0, every=1):
-    """phi_tilde at the grid's nodes (every=1) or every other node (every=2),
-    with the weight taken from the grid's node and half-node tables."""
-    if every == 1:
-        lam, lam_half = grid.lam, grid.lam_half
-    else:
-        lam, lam_half = grid.lam[::2], grid.lam[1::2]
-    h = grid.h * every
+def rk4_path(grid, phi0):
+    """phi_tilde at the grid's nodes, with the weight taken from the grid's
+    node and half-node tables."""
+    lam, lam_half, h = grid.lam, grid.lam_half, grid.h
     y = np.empty(len(lam))
     y[0] = v = float(phi0)
     # a blow-up start overflows to -inf, which is where it stays
@@ -65,3 +62,29 @@ def bisect_root(w, t_lo, y_lo, t_hi, R, substeps=4, iters=60):
         if b - a < 1e-15:
             break
     return float(np.exp(0.5 * (a + b)))
+
+
+def bisect_threshold_g(grid):
+    """exp of the modulus of the largest RK4 path that stays below the
+    weight at every node (to 1e-10 max lambda): a bracket grown by doubling
+    from [0, max lambda], then bisection on the initial value."""
+
+    def admissible(phi0):
+        y = rk4_path(grid, phi0)
+        return float(np.max(np.maximum(0.0, y) - grid.lam)) <= 1e-10 * grid.lam_max
+
+    lo, hi = 0.0, grid.lam_max * (1 + 1e-6)
+    step = grid.lam_max
+    while not admissible(lo):
+        step *= 2.0
+        lo -= step
+    while admissible(hi):
+        step *= 2.0
+        hi += step
+    while hi - lo > 1e-12 * max(1.0, grid.lam_max):
+        mid = 0.5 * (lo + hi)
+        if admissible(mid):
+            lo = mid
+        else:
+            hi = mid
+    return float(np.exp(grid.modulus(np.maximum(0.0, rk4_path(grid, lo)))))

@@ -43,12 +43,14 @@ class TestParseConfig:
             cli.parse_config(json.dumps(bad))
         assert "r" in str(err.value)
 
-    def test_nonpositive_tolerance(self):
-        bad = dict(BASE)
-        bad["numerics"] = dict(BASE["numerics"], modulus_tol=0.0)
-        with pytest.raises(cli.ConfigError) as err:
+    @pytest.mark.parametrize("section, key, value", [
+        ("numerics", "modulus_tol", 1e-10), ("output", "formats", ["csv"])])
+    def test_removed_keys_are_unknown(self, section, key, value):
+        # nothing read them: the modulus tolerance is a constant of the
+        # solver and every command writes its fixed set of files
+        bad = dict(BASE, **{section: {**BASE.get(section, {}), key: value}})
+        with pytest.raises(cli.ConfigError, match=f"unknown {section} keys"):
             cli.parse_config(json.dumps(bad))
-        assert "modulus_tol" in str(err.value)
 
     @pytest.mark.parametrize("key, value", [
         ("ode_grid", "abc"), ("ode_grid", 0), ("ode_grid", 1024.5),
@@ -194,6 +196,38 @@ class TestSweepCommand:
             assert g == rd.threshold_g(w, rho, n=1024)
         ms = [v[1] for v in values]
         assert ms == sorted(ms)     # increasing in rho
+
+
+    # a linear weight, so that interpolation adds no kinks for the ODE
+    SAMPLES = [[1.0 + 0.25 * i, 1.5 + 0.125 * i] for i in range(9)]
+
+    @pytest.mark.parametrize("command, table", [("threshold", "thresholds.csv"),
+                                                ("sweep", "sweep.csv")])
+    def test_tabulated_weight_several_rhos(self, tmp_path, command, table):
+        # samples on [1, 3]: the ratio 2.1 reads them on [1, 2.1]
+        cfg = {"weight": {"kind": "tabulated", "samples": self.SAMPLES},
+               "rho_values": [2.1, 3.0], "numerics": {"ode_grid": 1024}}
+        p = write_config(tmp_path, cfg)
+        rc = cli.main([command, "--config", str(p), "--out", str(tmp_path)])
+        assert rc == 0
+        rows = [ln for ln in (tmp_path / table).read_text().splitlines()
+                if not ln.startswith("#")][1:]
+        values = [tuple(map(float, row.split(","))) for row in rows]
+        s, lam = np.array(self.SAMPLES).T
+        for (rho, m, g), n_inside in zip(values, (4, 7)):
+            w = Weight.tabulated(np.r_[s[:n_inside + 1], rho],
+                                 np.r_[lam[:n_inside + 1],
+                                       np.interp(rho, s, lam)])
+            assert m == rd.threshold_m(w, rho, n=1024)
+            assert g == rd.threshold_g(w, rho, n=1024)
+
+    def test_ratio_beyond_the_samples_named(self, tmp_path, capsys):
+        cfg = {"weight": {"kind": "tabulated", "samples": self.SAMPLES},
+               "rho_values": [2.0, 3.5]}
+        p = write_config(tmp_path, cfg)
+        rc = cli.main(["sweep", "--config", str(p), "--out", str(tmp_path)])
+        assert rc == 2
+        assert "rho 3.5" in capsys.readouterr().err
 
 
 class TestErrorPaths:

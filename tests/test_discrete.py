@@ -381,6 +381,26 @@ class TestPerturbation:
         fine = dc.perturb_map(identity_map(129, 128), 0.05, 3)
         np.testing.assert_allclose(fine.h[::2, ::2], coarse.h, atol=1e-12)
 
+    @pytest.mark.parametrize("ns, ntheta", [(64, 64), (129, 96)])
+    def test_field_matches_the_term_by_term_sum(self, ns, ntheta):
+        # one draw of all coefficients, in the order of the double loop
+        t = np.linspace(0.0, np.log(2.0), ns)
+        theta = 2 * np.pi * np.arange(ntheta) / ntheta
+        u = t / t[-1]
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            field_, bound = np.zeros((ns, ntheta)), 0.0
+            for k in range(1, 5):
+                for m_ in range(5):
+                    a, b, c = rng.standard_normal(3)
+                    field_ += np.outer(np.sin(np.pi * k * u),
+                                       a * np.cos(m_ * theta + c)
+                                       + b * np.sin(m_ * theta))
+                    bound += abs(a) + abs(b)
+            got = dc.smooth_perturbation(t, theta, 0.3,
+                                         np.random.default_rng(seed))
+            np.testing.assert_array_equal(got, field_ * (0.3 / bound))
+
 
 class TestMinimizePolar:
     def test_conformal_fixed_point(self):

@@ -3,7 +3,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from annular_dirichlet import radial as rd
+from annular_dirichlet.phi_ode import OdeGrid
 from annular_dirichlet.weights import Weight
+
+import power_oracle
+from rk4_oracle import bisect_threshold_g
 
 
 def unit(r=1.0, R=2.0):
@@ -26,7 +30,6 @@ class TestAnnulusPair:
 class TestFindInitialValue:
     def test_hits_target_modulus(self):
         w = unit()
-        from annular_dirichlet.phi_ode import OdeGrid
         grid = OdeGrid(w, 1.0, 2.0)
         for pair in (rd.AnnulusPair(1, 2, 1, 1.25),
                      rd.AnnulusPair(1, 2, 1, 2.0),
@@ -88,8 +91,7 @@ class TestThresholds:
         m = rd.threshold_m(unit(), rho)
         g = rd.threshold_g(unit(), rho)
         assert m == pytest.approx((rho * rho + 1) / (2 * rho), abs=1e-12)
-        # g's own error is about 7.5e-11, from the admissibility slack
-        assert g == pytest.approx(rho, abs=1e-9)
+        assert g == pytest.approx(rho, abs=1e-12)
 
     def test_m_below_g(self):
         w = Weight.from_callable(lambda s: 2.0 + np.sin(4 * s), 1.0, 2.0,
@@ -97,6 +99,29 @@ class TestThresholds:
         m = rd.threshold_m(w, 2.0)
         g = rd.threshold_g(w, 2.0)
         assert 1.0 < m < g
+
+
+    @pytest.mark.parametrize("k", [4, 8])
+    def test_g_matches_bisection_on_tabulated_weights(self, k):
+        w = Weight.from_callable(lambda s: 2.0 + np.sin(k * s), 1.0, 2.0,
+                                 samples=4097)
+        g = rd.threshold_g(w, 2.0, n=2048)
+        assert g == pytest.approx(bisect_threshold_g(OdeGrid(w, 1.0, 2.0, 2048)),
+                                  abs=1e-8)
+
+    @pytest.mark.parametrize("p, rho", [(1.0, 2.0), (-1.0, 2.0), (-1.0, 5.0),
+                                        (-3.0, 1.5)])
+    def test_g_path_touches_the_weight_from_below(self, p, rho):
+        # at the closed-form phi_g the path stays below lambda and meets it
+        w = Weight.power(p, 1.0, rho)
+        grid = OdeGrid(w, 1.0, rho)
+        h0, h1, q0, q1 = grid.columns
+        a, b = q0 - grid.lam * h0, q1 - grid.lam * h1
+        phi_g = np.min(-a[b > 0] / b[b > 0])
+        excess = (grid.integrate(phi_g) - grid.lam) / grid.lam
+        assert np.max(excess) <= 1e-14
+        assert np.max(excess) >= -1e-14
+        assert np.min(h0 + phi_g * h1) > 0.0
 
 
 class TestEnergyClosedForm:
@@ -175,3 +200,17 @@ def test_energy_scales_with_target_size(r_star, ratio):
     scaled = rd.build(w, rd.AnnulusPair(1, 2, r_star, r_star * ratio), n=1024)
     np.testing.assert_allclose(scaled.energy, r_star ** 2 * base.energy,
                                rtol=1e-8)
+
+
+@given(p=st.floats(min_value=-3.0, max_value=3.0),
+       c=st.floats(min_value=0.1, max_value=10.0),
+       rho=st.floats(min_value=1.01, max_value=5.0))
+@settings(max_examples=30, deadline=None)
+def test_thresholds_match_power_weight_closed_forms(p, c, rho):
+    w = Weight.power(p, 1.0, rho, value=c)
+    m = rd.threshold_m(w, rho)
+    assert m == pytest.approx(power_oracle.threshold_m(p, rho), rel=1e-12)
+    g_exact, phi_g_nonnegative = power_oracle.threshold_g(p, rho)
+    # with phi_g < 0 the clamped path has a kink that limits Simpson's rule
+    tol = 1e-12 if phi_g_nonnegative else 1e-8
+    assert rd.threshold_g(w, rho) == pytest.approx(g_exact, rel=tol)

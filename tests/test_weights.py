@@ -30,6 +30,17 @@ def test_tabulated_interpolates_linearly():
     assert w(1.75) == pytest.approx(2.5, rel=1e-15)
 
 
+def test_tabulated_reads_samples_on_a_subinterval():
+    s = np.array([1.0, 1.5, 2.0, 3.0])
+    v = np.array([1.0, 3.0, 2.0, 4.0])
+    w = Weight.tabulated(s, v, r=1.25, R=2.5)
+    np.testing.assert_array_equal(w.abscissae, [1.25, 1.5, 2.0, 2.5])
+    np.testing.assert_array_equal(w.ordinates, [2.0, 3.0, 2.0, 3.0])
+    assert (w.r, w.R) == (1.25, 2.5)
+    with pytest.raises(WeightError, match=r"cover \[1, 3\], not \[1, 3.5\]"):
+        Weight.tabulated(s, v, r=1.0, R=3.5)
+
+
 def test_from_callable_matches_function():
     w = Weight.from_callable(np.exp, 1.0, 2.0, samples=4097)
     s = np.exp(np.linspace(0.0, np.log(2.0), 333))
