@@ -269,8 +269,11 @@ def cmd_direct(cfg, out):
 
 
 def cmd_verify(cfg, out):
-    pair = cfg.get("pair") or rd.AnnulusPair(1, 2, 1, 1.25)
-    w = cfg["weight"]
+    if "pair" in cfg:
+        pair, w = cfg["pair"], cfg["weight"]
+    else:   # a fallback pair, with the weight read on its own domain
+        pair = rd.AnnulusPair(1, 2, 1, 1.25)
+        w = weight_from_config(cfg["weight_spec"], pair.r, pair.R)
     ns, ntheta = cfg["numerics"]["polar_grid"]
     seed = cfg["numerics"]["seed"]
     base = lg.TestMapSpec("radial", pair, ns, ntheta, weight=w)

@@ -19,7 +19,6 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .weights import Weight
 
@@ -127,7 +126,28 @@ class OdeGrid:
 
     def modulus(self, phi):
         """Composite-Simpson quadrature of Phi/(s lambda) ds = Phi/lambda dt."""
-        return float(simpson(phi / self.lam, dx=self.h))
+        return float(_simpson(phi / self.lam, self.h))
+
+
+def _simpson(y, dx):
+    """Simpson's rule on uniform samples, with the operations of
+    scipy.integrate.simpson(y, dx=dx) in the same order, so the two agree
+    bit for bit: composite Simpson over an odd point count; over an even
+    count, composite Simpson on all but the last point plus Cartwright's
+    last-interval term (equal spacings h0 = h1 = dx); the trapezoid for
+    two points."""
+    n = len(y)
+    if n == 2:
+        return 0.5 * dx * (y[-1] + y[-2])
+    m = n - 1 if n % 2 == 0 else n
+    out = np.sum(y[0:m - 2:2] + 4.0 * y[1:m - 1:2] + y[2:m:2]) * (dx / 3.0)
+    if n % 2 == 0:
+        h = np.float64(dx)
+        alpha = (2 * h ** 2 + 3 * h * h) / (6 * (h + h))
+        beta = (h ** 2 + 3.0 * h * h) / (6 * h)
+        eta = h ** 3 / (6 * h * (h + h))
+        out += alpha * y[-1] + beta * y[-2] - eta * y[-3]
+    return out
 
 
 def _rk4_propagators(lam, lam_half, h):

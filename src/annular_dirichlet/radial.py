@@ -12,10 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .phi_ode import (DEFAULT_N, OdeGrid, PhiSolution, RadialProfile,
-                      clamp_and_collapse, fd_derivative, recover_H,
+                      _simpson, clamp_and_collapse, fd_derivative, recover_H,
                       solve_phi_tilde)
 from .weights import Weight
 
@@ -189,13 +188,38 @@ def threshold_g(w: Weight, rho, n=DEFAULT_N):
     a + phi0 b <= 0, a = q0 - lambda h0, b = q1 - lambda h1.  phi_tilde
     grows with phi0, so the largest admissible phi0 is the least -a/b over
     the nodes with b > 0 (b = 1 at the left end).
+
+    phi_tilde/lambda = H_t/H and q = lambda H_t increases, so H has a
+    single minimum, where the clamped path has its kink.  From there to
+    the first node k with phi_tilde >= 0 the modulus is ln(H_k / min H),
+    with min H from the cubic Hermite interpolant of H on that cell; from
+    node k on, Simpson's rule integrates a smooth phi_tilde/lambda.  (A
+    ratio of H over the whole interval would carry the accumulated
+    rounding of the fundamental matrix, which phi_tilde = q/H cancels.)
     """
     g = _threshold_grid(w, rho, n)
     h0, h1, q0, q1 = g.columns
     a, b = q0 - g.lam * h0, q1 - g.lam * h1
     up = b > 0
     phi_g = float(np.min(-a[up] / b[up]))
-    return float(np.exp(g.modulus(np.maximum(0.0, g.integrate(phi_g)))))
+    y = g.integrate(phi_g)
+    k = int(np.searchsorted(y >= 0, True))
+    ratio = 1.0                     # H_k / min H; H(r) = 1 is least if k = 0
+    if k > 0:
+        cell = slice(k - 1, k + 1)
+        H = h0[cell] + phi_g * h1[cell]
+        dH = g.h * (q0[cell] + phi_g * q1[cell]) / g.lam[cell]   # per cell
+        ratio = H[1] / _cell_minimum(H[0], H[1], dH[0], dH[1])
+    return float(ratio * np.exp(_simpson(y[k:] / g.lam[k:], g.h)))
+
+
+def _cell_minimum(y0, y1, d0, d1):
+    """Least value on [0, 1] of the cubic with end values y0, y1 and end
+    slopes d0, d1 (per unit cell)."""
+    c2, c3 = 3 * (y1 - y0) - 2 * d0 - d1, 2 * (y0 - y1) + d0 + d1
+    u = np.roots([3 * c3, 2 * c2, d0])
+    u = u[(u.imag == 0) & (u.real >= 0) & (u.real <= 1)].real
+    return float(min(y0, y1, *(y0 + u * (d0 + u * (c2 + u * c3)))))
 
 
 def _transport(w: Weight, r, R):
@@ -226,7 +250,7 @@ def energy_closed_form(sol: RadialSolution, w: Weight):
                                   - pair.r_star ** 2 * phir))
     t = np.linspace(np.log(pair.r), np.log(sol.r0), 2049)
     lam = np.asarray(w(np.minimum(np.exp(t), pair.R)), dtype=float)
-    collapse = simpson(lam, dx=t[1] - t[0])
+    collapse = _simpson(lam, t[1] - t[0])
     return float(2 * np.pi * (pair.R_star ** 2 * phiR
                               + pair.r_star ** 2 * collapse))
 

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -21,6 +24,19 @@ def write_config(tmp_path, cfg):
     p = tmp_path / "config.json"
     p.write_text(json.dumps(cfg))
     return p
+
+
+def test_import_loads_no_heavy_scipy_subpackage():
+    # scipy.linalg is the one scipy dependency; these would add about 0.3 s
+    # to every cold start on a 2-core x86-64 host
+    code = ("import sys, annular_dirichlet.cli; print(' '.join(m for m in "
+            "('scipy.integrate', 'scipy.optimize', 'scipy.special', "
+            "'scipy.sparse') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ,
+                              "PYTHONPATH": os.pathsep.join(sys.path)}).stdout
+    assert out.split() == []
 
 
 class TestParseConfig:
@@ -100,6 +116,17 @@ class TestSolveCommand:
         first = [ln for ln in lines if not ln.startswith("#")][1]
         assert float(first.split(",")[0]) == 1.0
 
+    def test_odd_ode_grid(self, tmp_path):
+        # an odd node count is rounded up to an even interval count
+        cfg = dict(BASE, numerics=dict(BASE["numerics"], ode_grid=1001))
+        p = write_config(tmp_path, cfg)
+        rc = cli.main(["solve", "--config", str(p), "--out", str(tmp_path)])
+        assert rc == 0
+        summary = json.loads((tmp_path / "solution.json").read_text())
+        # the energy of the scipy.integrate.simpson modulus, to the bit
+        assert summary["energy"] == 5.890486225480886
+        assert summary["energy"] == pytest.approx(15 * np.pi / 8, rel=1e-6)
+
     def test_reruns_byte_identical(self, tmp_path):
         p = write_config(tmp_path, BASE)
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -173,6 +200,16 @@ class TestVerifyCommand:
         for row in rows:
             rel = float(row.split(",")[-1])
             assert rel < 1e-2
+
+    def test_fallback_pair_reads_the_weight_on_its_own_domain(self, tmp_path):
+        # no pair: verify runs on A(1, 2) -> A*(1, 1.25), past max rho = 1.5
+        cfg = {"weight": {"kind": "constant", "value": 1.0},
+               "rho_values": [1.5],
+               "numerics": {"ode_grid": 1024, "polar_grid": [48, 48]}}
+        p = write_config(tmp_path, cfg)
+        rc = cli.main(["verify", "--config", str(p), "--out", str(tmp_path)])
+        assert rc == 0
+        assert (tmp_path / "verify.csv").is_file()
 
 
 class TestSweepCommand:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from annular_dirichlet import discrete as dc
 from annular_dirichlet import lagrangians as lg
@@ -92,6 +93,21 @@ class TestIdentities:
         assert order > 1.5
         order = np.log2(res[1] / res[2])
         assert order > 1.5
+
+
+# the integrands of the identities' exact sides in the tests, the verify
+# command and the demos, on their radius intervals
+INTEGRANDS = {"G": lambda G: G, "G^2": lambda G: G * G,
+              "G^3": lambda G: G * G * G, "cos": np.cos, "1/s": lambda s: 1.0 / s, "ones": np.ones_like,
+              "scalar": lambda s: 1.0}
+
+
+@pytest.mark.parametrize("interval", [(1.0, 2.0), (1.0, 1.25)])
+@pytest.mark.parametrize("name", sorted(INTEGRANDS))
+def test_gauss_legendre_matches_adaptive_quadrature(name, interval):
+    f = INTEGRANDS[name]
+    exact = quad(f, *interval, limit=200)[0]
+    assert lg._integral(f, *interval) == pytest.approx(exact, rel=1e-13)
 
 
 class TestIsoperimetric:

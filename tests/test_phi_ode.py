@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import simpson
 
 from annular_dirichlet import phi_ode as po
 from annular_dirichlet.weights import Weight
@@ -206,6 +207,14 @@ class TestNumericalKernels:
             errs.append(np.max(np.abs(c - (np.exp(x) - 1.0))))
         order = np.log2(errs[0] / errs[1])
         assert order > 3.5
+
+    @pytest.mark.parametrize("n", [*range(2, 65), 1001, 1002, 4097, 8193])
+    def test_simpson_is_scipys_to_the_bit(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(5):
+            y = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3)
+            dx = rng.uniform(1e-4, 1.0)
+            assert po._simpson(y, dx) == simpson(y, dx=dx)
 
     def test_cumulative_integral_preserves_zero_runs(self):
         f = np.zeros(33)

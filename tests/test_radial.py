@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from annular_dirichlet import radial as rd
 from annular_dirichlet.phi_ode import OdeGrid
@@ -206,11 +206,13 @@ def test_energy_scales_with_target_size(r_star, ratio):
        c=st.floats(min_value=0.1, max_value=10.0),
        rho=st.floats(min_value=1.01, max_value=5.0))
 @settings(max_examples=30, deadline=None)
+@example(p=-0.875, c=1.0, rho=5.0)
 def test_thresholds_match_power_weight_closed_forms(p, c, rho):
     w = Weight.power(p, 1.0, rho, value=c)
     m = rd.threshold_m(w, rho)
     assert m == pytest.approx(power_oracle.threshold_m(p, rho), rel=1e-12)
     g_exact, phi_g_nonnegative = power_oracle.threshold_g(p, rho)
-    # with phi_g < 0 the clamped path has a kink that limits Simpson's rule
-    tol = 1e-12 if phi_g_nonnegative else 1e-8
+    # with phi_g < 0 the modulus from the minimum of H on is ln H ratios
+    # and Simpson's rule; the worst of 3414 random draws was 8.4e-13
+    tol = 1e-12 if phi_g_nonnegative else 2e-12
     assert rd.threshold_g(w, rho) == pytest.approx(g_exact, rel=tol)
