@@ -150,16 +150,19 @@ def _config_hash(raw):
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def _fmt(x):
-    return f"{x:.17g}"
+FLOAT = "%.17g"   # exact on round trip
 
 
-def _write_csv(path, header_meta, columns, rows):
+def _write_csv(path, header_meta, names, columns):
+    """One CSV table from columns of one type each (arrays or sequences):
+    floats printed with FLOAT, anything else with str.  The format of a
+    column is read off its first value, and each row is one `%`."""
+    columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
+    fmt = ",".join(FLOAT if len(c) and isinstance(c[0], float) else "%s"
+                   for c in columns)
     lines = [f"# {k}: {v}" for k, v in header_meta.items()]
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v)
-                              for v in row))
+    lines.append(",".join(names))
+    lines.extend(fmt % row for row in zip(*columns))
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -192,12 +195,12 @@ def cmd_solve(cfg, out):
     sol = rd.build(w, pair, n=cfg["numerics"]["ode_grid"])
     s = sol.phi.s
     lam = np.asarray(w(s), dtype=float)
-    rows = list(zip(s, sol.phi.phi_tilde, sol.phi.phi,
-                    sol.profile.H, sol.profile.Hdot, lam))
     _write_csv(out / "solution.csv",
                _meta(cfg, {"pair": f"{pair.r},{pair.R},{pair.r_star},{pair.R_star}",
-                           "phi0": _fmt(sol.phi0), "case": sol.case_tag}),
-               ["s", "phi_tilde", "phi", "H", "Hdot", "lambda"], rows)
+                           "phi0": FLOAT % sol.phi0, "case": sol.case_tag}),
+               ["s", "phi_tilde", "phi", "H", "Hdot", "lambda"],
+               [s, sol.phi.phi_tilde, sol.phi.phi, sol.profile.H,
+                sol.profile.Hdot, lam])
     _write_json(out / "solution.json", {
         "config_hash": cfg["hash"],
         "phi0": sol.phi0, "r0": sol.r0, "case": sol.case_tag,
@@ -214,9 +217,10 @@ def cmd_thresholds(cfg, out, table):
     if not cfg.get("rho_values"):
         raise ConfigError("a threshold table needs rho or rho_values")
     n = cfg["numerics"]["ode_grid"]
-    rows = [(rho, rd.threshold_m(w, rho, n=n), rd.threshold_g(w, rho, n=n))
+    rows = [(rho, *rd.thresholds(w, rho, n=n))
             for rho, w in cfg["ratio_weights"]]
-    _write_csv(out / table, _meta(cfg), ["rho", "m_lambda", "g_lambda"], rows)
+    _write_csv(out / table, _meta(cfg), ["rho", "m_lambda", "g_lambda"],
+               list(zip(*rows)))
     return 0
 
 
@@ -259,12 +263,15 @@ def cmd_direct(cfg, out):
         "polar_iterations": prep.iterations,
         "negative_jacobian_fraction": prep.negative_jacobian_fraction,
     })
-    rows = [(i, j, float(pm.s[i]), float(pm.theta[j]),
-             float(pm.h[i, j].real), float(pm.h[i, j].imag))
-            for i in range(0, pm.ns, max(1, pm.ns // 64))
-            for j in range(0, pm.ntheta, max(1, pm.ntheta // 64))]
+    # every max(1, n // 64)-th node per axis, row-major in (i, j)
+    si, sj = max(1, pm.ns // 64), max(1, pm.ntheta // 64)
+    i, j = np.meshgrid(np.arange(0, pm.ns, si), np.arange(0, pm.ntheta, sj),
+                       indexing="ij")
+    s, theta = np.meshgrid(pm.s[::si], pm.theta[::sj], indexing="ij")
+    h = pm.h[::si, ::sj]
     _write_csv(out / "polar_map.csv", _meta(cfg),
-               ["i", "j", "s", "theta", "re_h", "im_h"], rows)
+               ["i", "j", "s", "theta", "re_h", "im_h"],
+               [a.ravel() for a in (i, j, s, theta, h.real, h.imag)])
     return 0
 
 
@@ -276,13 +283,12 @@ def cmd_verify(cfg, out):
         w = weight_from_config(cfg["weight_spec"], pair.r, pair.R)
     ns, ntheta = cfg["numerics"]["polar_grid"]
     seed = cfg["numerics"]["seed"]
-    base = lg.TestMapSpec("radial", pair, ns, ntheta, weight=w)
-    specs = [("radial", base),
-             ("twist", lg.TestMapSpec("twist", pair, ns, ntheta,
-                                      profile=None, weight=w, twist=np.log)),
-             ("perturbed", lg.TestMapSpec("perturbed", pair, ns, ntheta,
-                                          base=base, amplitude=0.02,
-                                          seed=seed))]
+    radial = lg.make_test_map(lg.TestMapSpec("radial", pair, ns, ntheta,
+                                             weight=w))
+    maps = [("radial", radial),
+            ("twist", lg.make_test_map(lg.TestMapSpec(
+                "twist", pair, ns, ntheta, weight=w, twist=np.log))),
+            ("perturbed", dc.perturb_map(radial, 0.02, seed))]
     one = np.ones_like
     checks = [
         ("fl_pullback", lambda m: lg.fl_pullback_residual(m, lambda G: one(G))),
@@ -294,8 +300,7 @@ def cmd_verify(cfg, out):
     ]
     rows = []
     worst = 0.0
-    for kind, spec in specs:
-        m = lg.make_test_map(spec)
+    for kind, m in maps:
         for name, fn in checks:
             res = fn(m)
             rows.append((name, kind, f"{ns}x{ntheta}", res.lhs, res.rhs,
@@ -303,7 +308,7 @@ def cmd_verify(cfg, out):
             worst = max(worst, res.rel_residual)
     _write_csv(out / "verify.csv", _meta(cfg),
                ["identity_id", "map_kind", "grid", "lhs", "rhs",
-                "residual", "rel_residual"], rows)
+                "residual", "rel_residual"], list(zip(*rows)))
     return 0 if worst < 1e-2 else 1
 
 

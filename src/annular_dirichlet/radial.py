@@ -173,15 +173,30 @@ def _threshold_grid(w: Weight, rho, n):
 
 def threshold_m(w: Weight, rho, n=DEFAULT_N):
     """Homeomorphism threshold: exp of the modulus integral at phi0 = 0."""
+    return _threshold_m(_threshold_grid(w, rho, n))
+
+
+def threshold_g(w: Weight, rho, n=DEFAULT_N):
+    """Thin-target threshold: exp of the modulus of the largest solution
+    staying below the weight everywhere (see `_threshold_g`)."""
+    return _threshold_g(_threshold_grid(w, rho, n))
+
+
+def thresholds(w: Weight, rho, n=DEFAULT_N):
+    """(m, g) at ratio rho, both from one grid and its fundamental matrix;
+    equal to (threshold_m, threshold_g) bit for bit."""
     g = _threshold_grid(w, rho, n)
+    return _threshold_m(g), _threshold_g(g)
+
+
+def _threshold_m(g: OdeGrid):
     p = solve_phi_tilde(g.w, g.s[0], g.s[-1], 0.0, grid=g)
     # the path may live on the doubled grid, so take its own quadrature
     return float(np.exp(p.grid.modulus(np.maximum(0.0, p.phi_tilde))))
 
 
-def threshold_g(w: Weight, rho, n=DEFAULT_N):
-    """Thin-target threshold: exp of the modulus of the largest solution
-    staying below the weight everywhere.
+def _threshold_g(g: OdeGrid):
+    """Thin-target threshold on the grid of its ratio.
 
     With (H, q) = F (1, phi0) from the grid's fundamental matrix, the
     condition phi_tilde = q/H <= lambda at a node where H > 0 reads
@@ -197,7 +212,6 @@ def threshold_g(w: Weight, rho, n=DEFAULT_N):
     ratio of H over the whole interval would carry the accumulated
     rounding of the fundamental matrix, which phi_tilde = q/H cancels.)
     """
-    g = _threshold_grid(w, rho, n)
     h0, h1, q0, q1 = g.columns
     a, b = q0 - g.lam * h0, q1 - g.lam * h1
     up = b > 0

@@ -7,7 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import csv_oracle
 from annular_dirichlet import cli
+from annular_dirichlet import discrete as dc
+from annular_dirichlet import lagrangians as lg
 from annular_dirichlet import radial as rd
 from annular_dirichlet.weights import Weight
 
@@ -201,6 +204,27 @@ class TestVerifyCommand:
             rel = float(row.split(",")[-1])
             assert rel < 1e-2
 
+    def test_maps_match_their_specs(self, tmp_path, monkeypatch):
+        # verify perturbs the radial map it holds instead of rebuilding it
+        maps, residual = [], lg.fl_pullback_residual
+        monkeypatch.setattr(lg, "fl_pullback_residual",
+                            lambda m, N: maps.append(m) or residual(m, N))
+        p = write_config(tmp_path, dict(BASE, numerics=dict(
+            BASE["numerics"], seed=5)))
+        assert cli.main(["verify", "--config", str(p),
+                         "--out", str(tmp_path)]) == 0
+        cfg = cli.parse_config(json.dumps(BASE))
+        radial = lg.TestMapSpec("radial", cfg["pair"], 48, 48,
+                                weight=cfg["weight"])
+        specs = [radial,
+                 lg.TestMapSpec("twist", cfg["pair"], 48, 48,
+                                weight=cfg["weight"], twist=np.log),
+                 lg.TestMapSpec("perturbed", cfg["pair"], 48, 48, base=radial,
+                                amplitude=0.02, seed=5)]
+        assert len(maps) == 3
+        for m, spec in zip(maps, specs):
+            assert np.array_equal(m.h, lg.make_test_map(spec).h)
+
     def test_fallback_pair_reads_the_weight_on_its_own_domain(self, tmp_path):
         # no pair: verify runs on A(1, 2) -> A*(1, 1.25), past max rho = 1.5
         cfg = {"weight": {"kind": "constant", "value": 1.0},
@@ -337,3 +361,114 @@ class TestOverrides:
                 others = {"seed": seed, "grid": grid, "mode": mode, key: None}
                 partial = cli.parse_config(cli.with_overrides(BASE, **others))
                 assert partial["hash"] != cfg["hash"]
+
+
+SPECIAL_FLOATS = [0.0, -0.0, float("inf"), -float("inf"), float("nan"),
+                  5e-324, -5e-324, 1e16, 1e-5, 1.0, -3.0, 2.0 ** 53, 0.1]
+
+
+@st.composite
+def csv_columns(draw):
+    """Equal-length columns of floats, ints or strs, as lists or arrays."""
+    n = draw(st.integers(0, 20))
+    columns = []
+    for kind in draw(st.lists(st.sampled_from(["float", "int", "str"]),
+                              min_size=1, max_size=6)):
+        values = st.text()
+        if kind == "float":
+            values = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(),
+                               st.integers(-2 ** 60, 2 ** 60).map(float))
+        elif kind == "int":
+            values = st.integers(-2 ** 63, 2 ** 63 - 1)
+        col = draw(st.lists(values, min_size=n, max_size=n))
+        if kind != "str" and draw(st.booleans()):
+            col = np.array(col, dtype=np.float64 if kind == "float" else np.int64)
+        columns.append(col)
+    return columns
+
+
+class TestCsvWriter:
+    """The column-wise writer against the per-value one, byte for byte."""
+
+    @given(columns=csv_columns())
+    @settings(max_examples=200, deadline=None)
+    def test_same_bytes_as_per_value_writer(self, tmp_path_factory, columns):
+        d = tmp_path_factory.mktemp("csv")
+        meta = {"config_hash": "0123456789abcdef", "weight": "{}"}
+        names = [f"c{k}" for k in range(len(columns))]
+        cli._write_csv(d / "columns.csv", meta, names, columns)
+        csv_oracle.write_csv(d / "rows.csv", meta, names, zip(*columns))
+        assert (d / "columns.csv").read_bytes() == (d / "rows.csv").read_bytes()
+
+    @pytest.fixture
+    def recorded(self, monkeypatch):
+        """The tables the CLI writes, and the polar maps `direct` descends to."""
+        tables, maps = [], []
+        write, minimize = cli._write_csv, dc.minimize_polar
+
+        def record(path, meta, names, columns):
+            write(path, meta, names, columns)
+            tables.append((path, meta, names, columns))
+
+        def capture(*args, **kwargs):
+            out = minimize(*args, **kwargs)
+            maps.append(out[0])
+            return out
+
+        monkeypatch.setattr(cli, "_write_csv", record)
+        monkeypatch.setattr(dc, "minimize_polar", capture)
+        return tables, maps
+
+    # 96² writes every node; 256² every 4th node per axis
+    @pytest.mark.parametrize("grid", [96, 256])
+    @pytest.mark.parametrize("command", ["solve", "threshold", "direct",
+                                         "verify"])
+    def test_artifacts_match_per_value_writer(self, tmp_path, recorded,
+                                              command, grid):
+        cfg = dict(BASE, rho_values=[1.5, 2.0, 5.0],
+                   numerics={"ode_grid": 4096, "polar_grid": [grid, grid],
+                             "max_iter": 200, "seed": 7})
+        p = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert cli.main([command, "--config", str(p), "--out", str(out)]) == 0
+        tables, maps = recorded
+        [(path, meta, names, columns)] = tables
+        rows = zip(*columns)
+        if command == "direct":
+            rows = csv_oracle.polar_map_rows(maps[0])
+            assert len(columns[0]) == (grid // max(1, grid // 64)) ** 2
+        if command == "solve":
+            phi0 = json.loads((out / "solution.json").read_text())["phi0"]
+            assert meta["phi0"] == csv_oracle.fmt(phi0)
+        csv_oracle.write_csv(tmp_path / "oracle.csv", meta, names, rows)
+        assert path.read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+
+class TestStdout:
+    """Nothing reaches stdout, so a caller that runs `main` in-process
+    keeps its own last stdout line; errors go to stderr."""
+
+    CONFIGS = {
+        "unit": dict(BASE, rho_values=[1.5, 2.0]),
+        # below its Nitsche bound: the minimizer collapses
+        "collapse": {"weight": {"kind": "power", "exponent": 1.0},
+                     "pair": {"r": 1.0, "R": 2.0, "r_star": 1.0,
+                              "R_star": 1.05},
+                     "rho_values": [2.0], "numerics": BASE["numerics"]},
+        # no pair: solve, energy and direct exit 1
+        "no_pair": {"weight": {"kind": "power", "exponent": 1.0},
+                    "rho_values": [1.5, 2.0], "numerics": BASE["numerics"]},
+    }
+
+    @pytest.mark.parametrize("config", sorted(CONFIGS))
+    @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+    def test_nothing_on_stdout(self, tmp_path, capsys, config, command):
+        p = write_config(tmp_path, self.CONFIGS[config])
+        rc = cli.main([command, "--config", str(p), "--out", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert rc in (0, 1)
+        if rc:
+            assert captured.err.startswith("error: ")
+        if config == "no_pair" and command in ("solve", "energy", "direct"):
+            assert rc == 1

@@ -93,6 +93,14 @@ class TestThresholds:
         assert m == pytest.approx((rho * rho + 1) / (2 * rho), abs=1e-12)
         assert g == pytest.approx(rho, abs=1e-12)
 
+    @pytest.mark.parametrize("w, rho", [
+        (unit(), 2.0), (unit(), 5.0), (Weight.power(1.0, 1.0, 2.0), 2.0),
+        (Weight.power(-1.0, 1.0, 5.0), 5.0)])
+    def test_one_grid_for_both(self, w, rho):
+        # the CLI's tables take m and g from one grid, bit for bit
+        assert rd.thresholds(w, rho, n=1024) == \
+            (rd.threshold_m(w, rho, n=1024), rd.threshold_g(w, rho, n=1024))
+
     def test_m_below_g(self):
         w = Weight.from_callable(lambda s: 2.0 + np.sin(4 * s), 1.0, 2.0,
                                  samples=8193)
