@@ -283,11 +283,13 @@ def cmd_verify(cfg, out):
         w = weight_from_config(cfg["weight_spec"], pair.r, pair.R)
     ns, ntheta = cfg["numerics"]["polar_grid"]
     seed = cfg["numerics"]["seed"]
+    profile = lg.radial_profile(rd.build(w, pair,
+                                         n=cfg["numerics"]["ode_grid"]))
     radial = lg.make_test_map(lg.TestMapSpec("radial", pair, ns, ntheta,
-                                             weight=w))
+                                             profile=profile))
     maps = [("radial", radial),
             ("twist", lg.make_test_map(lg.TestMapSpec(
-                "twist", pair, ns, ntheta, weight=w, twist=np.log))),
+                "twist", pair, ns, ntheta, profile=profile, twist=np.log))),
             ("perturbed", dc.perturb_map(radial, 0.02, seed))]
     one = np.ones_like
     checks = [

@@ -24,6 +24,8 @@ from .weights import Weight
 
 MODE_FREE = "free"
 MODE_FIXED_OUTER = "fixed_outer"
+PERTURBATION_MODES = 4     # k = 1..4 radial and m = 0..4 angular modes
+POLAR_TOL = 1e-12          # relative energy change of a quiet descent step
 
 
 class AdmissibilityError(ValueError):
@@ -368,10 +370,11 @@ def embed_radial(sol: rd.RadialSolution, ns=256, ntheta=256, mode=MODE_FREE):
     return PolarGridMap(h, pair, mode, t=t, theta=theta)
 
 
-def smooth_perturbation(t, theta, amplitude, rng, kmax=4):
+def smooth_perturbation(t, theta, amplitude, rng):
     """Seeded random trigonometric field vanishing at the s-boundaries:
-    the sum over k = 1..kmax, m = 0..kmax of
+    the sum over k = 1..K, m = 0..K (K = PERTURBATION_MODES) of
     sin(pi k u) (a cos(m theta + c) + b sin(m theta)), u in [0, 1]."""
+    kmax = PERTURBATION_MODES
     u = (t - t[0]) / (t[-1] - t[0])
     a, b, c = np.moveaxis(rng.standard_normal((kmax, kmax + 1, 3)), -1, 0)
     m_ = np.arange(kmax + 1)[:, None]
@@ -386,14 +389,14 @@ def smooth_perturbation(t, theta, amplitude, rng, kmax=4):
     return field_ * (amplitude / bound)
 
 
-def perturb_map(m: PolarGridMap, amplitude, seed, kmax=4):
+def perturb_map(m: PolarGridMap, amplitude, seed):
     """Admissible smooth perturbation of modulus and argument."""
     rng = np.random.default_rng(seed)
     G = np.abs(m.h)
     alpha = np.angle(m.h)
     span = m.pair.R_star - m.pair.r_star
-    dG = smooth_perturbation(m.t, m.theta, amplitude * span, rng, kmax)
-    dA = smooth_perturbation(m.t, m.theta, amplitude * np.pi, rng, kmax)
+    dG = smooth_perturbation(m.t, m.theta, amplitude * span, rng)
+    dA = smooth_perturbation(m.t, m.theta, amplitude * np.pi, rng)
     G2 = np.clip(G + dG, m.pair.r_star, m.pair.R_star)
     out = PolarGridMap(G2 * np.exp(1j * (alpha + dA)), m.pair, m.mode,
                        t=m.t, theta=m.theta)
@@ -421,15 +424,15 @@ def _project(h, m: PolarGridMap):
     return out
 
 
-def _descend(x0, grad, project, winds, L, max_iter, tol):
+def _descend(x0, grad, project, winds, L, max_iter):
     """Projected FISTA with function-value restarts and step 1/L on the
     quadratic with gradient `grad`.  The gradient is linear, so a step
     applies it once, to the new iterate: its gradient G gives its energy
     Re<G, x>/2 and, with the previous one, the gradient at the
     extrapolated point.  `winds` is probed every 100 steps and at the
     end; a failure restarts from x0 with half the step, at most four
-    attempts.  Stops after 10 steps whose energy changes by at most tol
-    (relative).  Returns (x, steps of all attempts, converged).
+    attempts.  Stops after 10 steps whose energy changes by at most
+    POLAR_TOL (relative).  Returns (x, steps of all attempts, converged).
     """
     step_scale = 1.0
     iterations = 0
@@ -460,8 +463,8 @@ def _descend(x0, grad, project, winds, L, max_iter, tol):
             if it % 100 == 0 and not winds(h_new):
                 ok = False
                 break
-            quiet = quiet + 1 if abs(E_new - E_cur) <= tol * max(abs(E_new), 1.0) \
-                else 0
+            small = abs(E_new - E_cur) <= POLAR_TOL * max(abs(E_new), 1.0)
+            quiet = quiet + 1 if small else 0
             h, G_h, E_cur = h_new, G_new, E_new
             if quiet >= 10:
                 converged = True
@@ -480,7 +483,7 @@ def _descend(x0, grad, project, winds, L, max_iter, tol):
 
 def minimize_polar(w: Weight, pair: rd.AnnulusPair, ns=256, ntheta=256,
                    mode=MODE_FREE, init: PolarGridMap | None = None,
-                   seed=0, perturbation=0.0, max_iter=2000, tol=1e-12,
+                   seed=0, perturbation=0.0, max_iter=2000,
                    radial_solution: rd.RadialSolution | None = None):
     """Projected descent over admissible polar-grid maps.
 
@@ -539,12 +542,12 @@ def minimize_polar(w: Weight, pair: rd.AnnulusPair, ns=256, ntheta=256,
 
     b, iterations, converged = _descend(
         init.h[[0, -1]], reduced_grad, project, lambda b: winds(extend(b)),
-        L_S, max_iter, tol)
+        L_S, max_iter)
     h = extend(b)
     mod = np.abs(h)
     if mod.min() < pair.r_star - 1e-9 or mod.max() > pair.R_star + 1e-9:
         h, steps, converged = _descend(init.h, form.grad, project, winds,
-                                       form.L, max_iter, tol)
+                                       form.L, max_iter)
         iterations += steps
     out = PolarGridMap(h, pair, mode, t=init.t, theta=init.theta)
     return out, EnergyReport(form.energy(h), iterations, converged,

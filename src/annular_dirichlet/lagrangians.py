@@ -70,6 +70,12 @@ class ProofStepReport:
     notes: list = field(default_factory=list)
 
 
+def radial_profile(sol: rd.RadialSolution):
+    """The radial minimizer's profile as a callable s -> H(s), linear in
+    t = ln s between the ODE grid's nodes."""
+    return lambda s: np.interp(np.log(s), sol.phi.t, sol.profile.H)
+
+
 def make_test_map(spec: TestMapSpec):
     """Generate an admissible polar-grid map from a declarative spec."""
     pair = spec.pair
@@ -78,12 +84,11 @@ def make_test_map(spec: TestMapSpec):
         return dc.perturb_map(base, spec.amplitude, spec.seed)
     t = np.linspace(np.log(pair.r), np.log(pair.R), spec.ns)
     s = np.exp(t)
-    if spec.profile is not None:
-        H = np.asarray([spec.profile(x) for x in s], dtype=float)
-    else:
+    profile = spec.profile
+    if profile is None:
         w = spec.weight or Weight.constant(1.0, pair.r, pair.R)
-        sol = rd.build(w, pair)
-        H = np.interp(t, sol.phi.t, sol.profile.H)
+        profile = radial_profile(rd.build(w, pair))
+    H = np.asarray([profile(x) for x in s], dtype=float)
     H[0], H[-1] = pair.r_star, pair.R_star
     theta = 2 * np.pi * np.arange(spec.ntheta) / spec.ntheta
     phase = theta[None, :]

@@ -1,7 +1,8 @@
 """Radial minimizer construction, thresholds and proof certificates.
 
-Builds the radial minimizer for an annulus pair by shooting on the
-initial value phi0, computes the homeomorphism threshold m and the
+Builds the radial minimizer for an annulus pair from its initial value
+phi0 (one division in the homeomorphism case, a bisection in the
+collapsing case), computes the homeomorphism threshold m and the
 thin-target threshold g, the closed-form minimal energies, and the
 numerical certificates behind the monotone-weight and fixed-boundary
 minimality proofs.
@@ -21,14 +22,10 @@ from .weights import Weight
 MODULUS_TOL = 1e-10
 PHI0_INTERVAL_TOL = 1e-12
 RATIO_RTOL = 1e-12         # interval ratios this close are the same ratio
-MAX_BRACKET_DOUBLINGS = 60
+CERTIFICATE_TOL = 1e-8     # margins this far below zero fail
 
 CASE1 = "case1"   # homeomorphism: phi0 >= 0
 CASE2 = "case2"   # collapsing: phi0 < 0, flat profile on [r, r0]
-
-
-class NoSolutionError(RuntimeError):
-    """Bracket expansion for the initial value failed (should not happen)."""
 
 
 class CertificateError(RuntimeError):
@@ -95,43 +92,32 @@ class FixedBoundaryCoeffs:
     residual: float      # max |d rho1/ds - rho2| where the ODE holds
 
 
-def find_initial_value(w: Weight, pair: AnnulusPair, tol=MODULUS_TOL,
-                       n=DEFAULT_N, grid: OdeGrid | None = None):
+def find_initial_value(w: Weight, pair: AnnulusPair, n=DEFAULT_N,
+                       grid: OdeGrid | None = None):
     """Initial value phi0 whose target modulus matches the annulus pair.
 
-    The modulus is nondecreasing in phi0, so a bracket found by geometric
-    expansion from [-max lambda, max lambda] is narrowed by bisection.
+    Case 1 (phi0 >= 0): the path never clamps and H = h0 + phi0 h1 ends
+    at R*/r*, so phi0 = (R*/r* - h0(R)) / h1(R).  Case 2: bisection of the
+    clamped path's modulus, nondecreasing in phi0, on [-max lambda, 0] (a
+    path from -max lambda stays below it, with modulus 0).
     """
     g = grid if grid is not None else OdeGrid(w, pair.r, pair.R, n)
+    h0, h1, _, _ = g.columns
+    phi0 = (pair.R_star / pair.r_star - h0[-1]) / h1[-1]
+    if phi0 >= 0:
+        return float(phi0)
     target = pair.mod_target
 
     def mod(phi0):
         y = np.maximum(0.0, g.integrate(phi0))
         return g.modulus(y)
 
-    lo, hi = -g.lam_max, g.lam_max
-    step = g.lam_max
-    for _ in range(MAX_BRACKET_DOUBLINGS):
-        if mod(lo) <= target:
-            break
-        step *= 2.0
-        lo -= step
-    else:
-        raise NoSolutionError("no lower bracket for the initial value")
-    step = g.lam_max
-    for _ in range(MAX_BRACKET_DOUBLINGS):
-        if mod(hi) >= target:
-            break
-        step *= 2.0
-        hi += step
-    else:
-        raise NoSolutionError("no upper bracket for the initial value")
-
+    lo, hi = -g.lam_max, 0.0
     scale = max(1.0, g.lam_max)
     while hi - lo > PHI0_INTERVAL_TOL * scale:
         mid = 0.5 * (lo + hi)
         m = mod(mid)
-        if abs(m - target) <= tol:
+        if abs(m - target) <= MODULUS_TOL:
             lo = hi = mid
             break
         if m < target:
@@ -191,8 +177,7 @@ def thresholds(w: Weight, rho, n=DEFAULT_N):
 
 def _threshold_m(g: OdeGrid):
     p = solve_phi_tilde(g.w, g.s[0], g.s[-1], 0.0, grid=g)
-    # the path may live on the doubled grid, so take its own quadrature
-    return float(np.exp(p.grid.modulus(np.maximum(0.0, p.phi_tilde))))
+    return float(np.exp(g.modulus(np.maximum(0.0, p.phi_tilde))))
 
 
 def _threshold_g(g: OdeGrid):
@@ -276,7 +261,7 @@ def _smooth_start(sol: RadialSolution):
     return int(np.searchsorted(sol.phi.s, sol.r0, side="left"))
 
 
-def claim1_certificate(sol: RadialSolution, w: Weight, tol=1e-8):
+def claim1_certificate(sol: RadialSolution, w: Weight):
     """Margins and residuals for the tau-identity certificate.
 
     Requires a nondecreasing weight.  The constant is c = H(r) Phi(r)
@@ -328,7 +313,7 @@ def claim1_certificate(sol: RadialSolution, w: Weight, tol=1e-8):
     )
     margins = [report.margin_tau, report.margin_tau_dot,
                report.margin_angular, report.margin_radial]
-    if min(margins) < -tol:
+    if min(margins) < -CERTIFICATE_TOL:
         raise CertificateError(
             f"negative certificate margin with nondecreasing weight: {margins}")
     return report

@@ -1,4 +1,5 @@
-"""Closed-form thresholds for the power weights lambda = c s^p.
+"""Closed-form thresholds and case-1 initial values for the power
+weights lambda = c s^p.
 
 In t = ln s the radial Euler-Lagrange equation (lambda H_t)_t = lambda H
 has constant coefficients, H'' + p H' - H = 0, with the characteristic
@@ -29,6 +30,17 @@ def threshold_m(p, rho):
     """m = u(ln rho) for u(0) = 1, u'(0) = 0 (phi0 = 0)."""
     H, _, _ = _solution(p, 0.0, 1.0, 0.0)
     return float(H(np.log(rho)))
+
+
+def initial_value(p, rho, ratio):
+    """phi0 of the case-1 minimizer A(1, rho) -> A*(1, ratio), ratio >= m,
+    for c = 1 (phi0 scales with c): H = A e^{alpha+ t} + B e^{alpha- t}
+    with H(0) = 1 and H(T) = ratio, and phi0 = c H'(0)."""
+    d = np.sqrt(p * p + 4.0)
+    ap, am = 0.5 * (-p + d), 0.5 * (-p - d)
+    T = np.log(rho)
+    A = (ratio - np.exp(am * T)) / (np.exp(ap * T) - np.exp(am * T))
+    return float(A * ap + (1.0 - A) * am)
 
 
 def threshold_g(p, rho):

@@ -204,6 +204,17 @@ class TestVerifyCommand:
             rel = float(row.split(",")[-1])
             assert rel < 1e-2
 
+    def test_builds_once_on_the_ode_grid(self, tmp_path, monkeypatch):
+        # the radial and twist maps share one radial minimizer, built on
+        # numerics.ode_grid (here set by --grid)
+        calls, build = [], rd.build
+        monkeypatch.setattr(rd, "build", lambda w, pair, n=4096:
+                            calls.append(n) or build(w, pair, n=n))
+        p = write_config(tmp_path, BASE)
+        assert cli.main(["verify", "--config", str(p), "--out", str(tmp_path),
+                         "--grid", "1024"]) == 0
+        assert calls == [1024]
+
     def test_maps_match_their_specs(self, tmp_path, monkeypatch):
         # verify perturbs the radial map it holds instead of rebuilding it
         maps, residual = [], lg.fl_pullback_residual
@@ -214,11 +225,13 @@ class TestVerifyCommand:
         assert cli.main(["verify", "--config", str(p),
                          "--out", str(tmp_path)]) == 0
         cfg = cli.parse_config(json.dumps(BASE))
+        profile = lg.radial_profile(rd.build(cfg["weight"], cfg["pair"],
+                                             n=1024))
         radial = lg.TestMapSpec("radial", cfg["pair"], 48, 48,
-                                weight=cfg["weight"])
+                                profile=profile)
         specs = [radial,
                  lg.TestMapSpec("twist", cfg["pair"], 48, 48,
-                                weight=cfg["weight"], twist=np.log),
+                                profile=profile, twist=np.log),
                  lg.TestMapSpec("perturbed", cfg["pair"], 48, 48, base=radial,
                                 amplitude=0.02, seed=5)]
         assert len(maps) == 3

@@ -47,6 +47,28 @@ class TestFindInitialValue:
         assert phi0_thin < 0          # thin target: collapse regime
 
 
+@given(p=st.floats(min_value=-3.0, max_value=3.0),
+       c=st.floats(min_value=0.1, max_value=10.0),
+       rho=st.floats(min_value=1.01, max_value=5.0),
+       f=st.floats(min_value=1.001, max_value=4.0))
+@settings(max_examples=30, deadline=None)
+@example(p=0.8217701239287258, c=2.770888466262316, rho=1.1734843605054168,
+         f=1.0505663789500586)
+@example(p=0.842040106809816, c=2.8235488088413536, rho=1.0115972199762593,
+         f=1.009396146133278)
+def test_case1_initial_value_matches_power_closed_form(p, c, rho, f):
+    # ratio >= m: phi0 is one division by the fundamental matrix, whose
+    # rounding it divides by h1(R) ~ ln rho.  Relative to max(lambda(r),
+    # |phi0|) the worst of 4000 random draws (half with rho < 1.012) was
+    # 3.8e-11 (second example); a bisection on the modulus missed by 6.8e-10
+    # (first example) and 8.7e-9 at worst
+    ratio = f * power_oracle.threshold_m(p, rho)
+    w = Weight.power(p, 1.0, rho, value=c)
+    phi0 = rd.find_initial_value(w, rd.AnnulusPair(1.0, rho, 1.0, ratio))
+    exact = c * power_oracle.initial_value(p, rho, ratio)
+    assert abs(phi0 - exact) <= 1e-10 * max(c, abs(exact))
+
+
 class TestBuild:
     def test_boundary_values_pinned(self):
         sol = rd.build(unit(), rd.AnnulusPair(1, 2, 1.5, 2.5))
@@ -66,6 +88,31 @@ class TestBuild:
         for R_star in (1.02, 1.25, 3.0):
             sol = rd.build(unit(), rd.AnnulusPair(1, 2, 1, R_star))
             assert np.all(np.diff(sol.profile.H) >= 0.0)
+
+
+class TestThickTargets:
+    """Targets far above m, where phi_tilde is steep; each pair raised
+    AccuracyError while the residual was taken on phi_tilde."""
+
+    def test_unit_weight_closed_forms(self):
+        # Phi = (s^2 - k)/(s^2 + k) with k = -25/33: phi0 = 7.25 and
+        # E = 2 pi (400 Phi(5) - phi0) = 2 pi 417.75
+        sol = rd.build(unit(1.0, 5.0), rd.AnnulusPair(1, 5, 1, 20))
+        assert sol.phi.grid.n == 4096
+        assert sol.phi0 == pytest.approx(7.25, abs=1e-11)
+        assert sol.energy == pytest.approx(2 * np.pi * 417.75, rel=1e-12)
+        assert sol.phi.residual <= 1e-9
+
+    @pytest.mark.parametrize("rho", [2.0, 5.0])
+    def test_s_weight_at_four_times_g(self, rho):
+        ratio = 4 * power_oracle.threshold_g(1.0, rho)[0]
+        sol = rd.build(Weight.power(1.0, 1.0, rho),
+                       rd.AnnulusPair(1, rho, 1, ratio), n=4096)
+        assert sol.case_tag == rd.CASE1
+        assert sol.phi.grid.n == 4096
+        assert sol.phi.residual <= 1e-9
+        assert sol.phi0 == pytest.approx(
+            power_oracle.initial_value(1.0, rho, ratio), rel=1e-11)
 
 
 class TestThresholds:
