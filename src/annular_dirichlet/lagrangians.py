@@ -45,8 +45,8 @@ class TestMapSpec:
     pair: rd.AnnulusPair
     ns: int = 256
     ntheta: int = 256
-    profile: object = None         # callable s -> H(s); None = radial minimizer
-    twist: object = None           # callable s -> angular shift, for "twist"
+    profile: object = None         # H(s) on an array of radii; None = radial minimizer
+    twist: object = None           # angular shift on an array of radii, for "twist"
     base: "TestMapSpec" = None     # for "perturbed"
     amplitude: float = 0.0
     seed: int = 0
@@ -88,12 +88,12 @@ def make_test_map(spec: TestMapSpec):
     if profile is None:
         w = spec.weight or Weight.constant(1.0, pair.r, pair.R)
         profile = radial_profile(rd.build(w, pair))
-    H = np.asarray([profile(x) for x in s], dtype=float)
+    H = np.array(profile(s), dtype=float)
     H[0], H[-1] = pair.r_star, pair.R_star
     theta = 2 * np.pi * np.arange(spec.ntheta) / spec.ntheta
     phase = theta[None, :]
     if spec.kind == "twist":
-        shift = np.asarray([spec.twist(x) for x in s], dtype=float)
+        shift = np.asarray(spec.twist(s), dtype=float)
         phase = phase + shift[:, None]
     elif spec.kind != "radial":
         raise ValueError(f"unknown test map kind: {spec.kind!r}")

@@ -8,7 +8,8 @@ is integrated in the log variable t = ln s, where it reads
 dPhi/dt = (lambda^2 - Phi^2)/lambda.  This Riccati equation linearises:
 with y = (H, lambda dH/dt), y' = [[0, 1/lambda], [lambda, 0]] y and
 Phi = lambda H_t / H.  One fundamental matrix of the linear system per
-grid therefore answers every initial value phi0 (y(r) = (1, phi0)).  The
+grid therefore answers every initial value phi0 (y(r) = (1, phi0)); its
+RK4 recurrence is one LAPACK band forward substitution.  The
 clamped function Phi = max(0, Phi_tilde) then drives the radial profile
 through H'/H = Phi/(s lambda), i.e. H(s) = r_star * exp(int Phi/lambda dt).
 """
@@ -19,12 +20,12 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
+from scipy.linalg.lapack import dtbtrs
 
 from .weights import Weight
 
 DEFAULT_N = 4096
 RESIDUAL_TOL = 1e-9
-PROPAGATOR_BLOCK = 64      # steps accumulated sequentially per block
 
 
 class AccuracyError(RuntimeError):
@@ -75,8 +76,9 @@ class OdeGrid:
     """Log-uniform grid with the weight pretabulated at nodes and half nodes.
 
     Reusable across solves with different initial values: the RK4
-    fundamental matrix of the linearised equation is built on first use
-    and turns every later `integrate` into a few O(n) array operations.
+    fundamental matrix of the linearised equation is built on first use,
+    by one band forward substitution, and turns every later `integrate`
+    into a few O(n) array operations.
     """
 
     def __init__(self, w: Weight, r, R, n=DEFAULT_N):
@@ -102,11 +104,11 @@ class OdeGrid:
 
     @cached_property
     def columns(self):
-        """(h0, h1, q0, q1): the fundamental matrix F at every node, as the
-        paths y = (H, lambda H_t) = F y(r) from y(r) = (1, 0) (h0, q0) and
-        from y(r) = (0, 1) (h1, q1)."""
-        return _fundamental_columns(
-            _rk4_propagators(self.lam, self.lam_half, self.h))
+        """(h0, h1, q0, q1): the RK4 fundamental matrix F at every node, as
+        the paths y = (H, lambda H_t) = F y(r) from y(r) = (1, 0) (h0, q0)
+        and from y(r) = (0, 1) (h1, q1), from one LAPACK band forward
+        substitution that takes one rounded RK4 step per node."""
+        return _fundamental_columns(self.lam, self.lam_half, self.h)
 
     def integrate(self, phi0):
         """RK4 path of phi_tilde from the left endpoint.
@@ -150,48 +152,32 @@ def _simpson(y, dx):
     return out
 
 
-def _rk4_propagators(lam, lam_half, h):
-    """One RK4 step matrix per interval for y' = A y,
-    A(lambda) = [[0, 1/lambda], [lambda, 0]], with lambda at the interval's
-    left node a, midpoint m and right node b; shape (n, 2, 2).  The entries
-    are I + h/6 (K1 + 2 K2 + 2 K3 + K4) multiplied out."""
+def _fundamental_columns(lam, lam_half, h):
+    """The RK4 fundamental matrix of y' = A y, A(lambda) = [[0, 1/lambda],
+    [lambda, 0]], at every node, by forward substitution.
+
+    With y_i = (H_i, q_i) and P_i the RK4 step matrix on interval i
+    (lambda at its left node a, midpoint m and right node b; the entries
+    of I + h/6 (K1 + 2 K2 + 2 K3 + K4) multiplied out), the recurrences
+    y_{i+1} - P_i y_i = 0 over (H_0, q_0, H_1, q_1, ...) form one unit
+    lower band-triangular system with three subdiagonals.  One LAPACK
+    solve for the right-hand sides y_0 = (1, 0) and y_0 = (0, 1) takes
+    one rounded step per node, as a sequential loop would.  Returns the
+    columns (h0, h1, q0, q1) as four arrays of length n + 1.
+    """
     a, m, b = lam[:-1], lam_half, lam[1:]
     c, hh = h / 6.0, h * h
-    P = np.empty((len(m), 2, 2))
-    P[:, 0, 0] = 1.0 + c * h * (a / m + 1.0 + (m + 0.25 * hh * a) / b)
-    P[:, 0, 1] = c * ((1.0 + 0.5 * hh) * (1.0 / a + 1.0 / b) + 4.0 / m)
-    P[:, 1, 0] = c * ((1.0 + 0.5 * hh) * (a + b) + 4.0 * m)
-    P[:, 1, 1] = 1.0 + c * h * (m / a + 1.0 + b * (1.0 / m + 0.25 * hh / a))
-    return P
-
-
-def _fundamental_columns(P):
-    """Prefix products F_i = P_{i-1} ... P_0 (F_0 = I) of step matrices.
-
-    Products accumulate one step at a time within fixed blocks,
-    vectorised across blocks, so consecutive F_i differ by one rounded
-    multiplication.  A log-depth scan rounds each node differently; the
-    finite-difference residual check amplifies that jitter by 1/h (1.2e-10
-    against 7e-12 for the tabulated e^s weight at n=8192).
-    Returns the columns (H, q) for y(r) = (1, 0) and for y(r) = (0, 1)
-    as four arrays of length n + 1.
-    """
-    n, block = len(P), PROPAGATOR_BLOCK
-    nb = -(-n // block)
-    eye = np.eye(2)
-    Q = np.concatenate([P, np.broadcast_to(eye, (nb * block - n, 2, 2))])
-    Q = Q.reshape(nb, block, 2, 2)
-    acc = np.empty_like(Q)
-    acc[:, 0] = Q[:, 0]
-    for j in range(1, block):
-        acc[:, j] = Q[:, j] @ acc[:, j - 1]
-    prefix = np.empty((nb, 2, 2))
-    prefix[0] = eye
-    for k in range(1, nb):
-        prefix[k] = acc[k - 1, -1] @ prefix[k - 1]
-    F = np.concatenate([eye[None], (acc @ prefix[:, None]).reshape(-1, 2, 2)[:n]])
-    return (np.ascontiguousarray(F[:, 0, 0]), np.ascontiguousarray(F[:, 0, 1]),
-            np.ascontiguousarray(F[:, 1, 0]), np.ascontiguousarray(F[:, 1, 1]))
+    size = 2 * len(m) + 2
+    ab = np.zeros((4, size), order="F")   # ab[k, j] = L[j + k, j]
+    ab[2, 0:-2:2] = -1.0 - c * h * (a / m + 1.0 + (m + 0.25 * hh * a) / b)
+    ab[1, 1:-2:2] = -c * ((1.0 + 0.5 * hh) * (1.0 / a + 1.0 / b) + 4.0 / m)
+    ab[3, 0:-2:2] = -c * ((1.0 + 0.5 * hh) * (a + b) + 4.0 * m)
+    ab[2, 1:-2:2] = -1.0 - c * h * (m / a + 1.0 + b * (1.0 / m + 0.25 * hh / a))
+    rhs = np.zeros((size, 2), order="F")
+    rhs[0, 0] = rhs[1, 1] = 1.0
+    y, _ = dtbtrs(ab, rhs, uplo="L", diag="U", overwrite_b=1)
+    (h0, q0), (h1, q1) = y.T.reshape(2, -1, 2).transpose(0, 2, 1).copy()
+    return h0, h1, q0, q1
 
 
 def solve_phi_tilde(w: Weight, r, R, phi0, n=DEFAULT_N,

@@ -152,7 +152,7 @@ def _threshold_grid(w: Weight, rho, n):
     if rho <= 1:
         raise ValueError(f"need rho > 1, got {rho}")
     r, R = w.r, w.R
-    if not np.isclose(R / r, rho, rtol=RATIO_RTOL, atol=0.0):
+    if not abs(R / r - rho) <= RATIO_RTOL * abs(rho):
         w, r, R = _transport(w, 1.0, rho), 1.0, rho
     return OdeGrid(w, r, R, n)
 
@@ -225,7 +225,7 @@ def _transport(w: Weight, r, R):
     """Copy of the weight rescaled in s to live on [r, R]."""
     if w.kind == "constant":
         return Weight.constant(w.value, r, R)
-    if not np.isclose(R / r, w.R / w.r, rtol=RATIO_RTOL, atol=0.0):
+    if not abs(R / r - w.R / w.r) <= RATIO_RTOL * abs(w.R / w.r):
         raise ValueError(
             "threshold ratio must match the weight's interval ratio "
             "(except for constant weights)")

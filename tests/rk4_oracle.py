@@ -1,6 +1,7 @@
 """Independent oracle for `phi_ode`: fixed-step RK4 on the nonlinear
 characteristic equation dPhi/dt = lambda - Phi^2/lambda, one Python step at
-a time, a bisection for the zero of phi_tilde inside one grid cell, and the
+a time, the same steps on its linearisation for the fundamental matrix, a
+bisection for the zero of phi_tilde inside one grid cell, and the
 thin-target threshold g by bracketing and bisection on the initial value.
 
 The package integrates the linearised equation instead; the two are
@@ -24,6 +25,29 @@ def rk4_path(grid, phi0):
             v = _step(v, h, la, lm, lb)
             y[i + 1] = v
     return y
+
+
+def fundamental_columns(grid):
+    """(h0, h1, q0, q1): the RK4 fundamental matrix of the linearised
+    system y' = A y, A(lambda) = [[0, 1/lambda], [lambda, 0]], for
+    y = (H, lambda H_t), one step per interval with the stages formed from
+    A itself."""
+
+    def A(la):
+        return np.array([[0.0, 1.0 / la], [la, 0.0]])
+
+    lam, lam_half, h = grid.lam, grid.lam_half, grid.h
+    F = np.empty((len(lam), 2, 2))
+    F[0] = Y = np.eye(2)
+    for i in range(len(lam) - 1):
+        Am = A(lam_half[i])
+        k1 = A(lam[i]) @ Y
+        k2 = Am @ (Y + 0.5 * h * k1)
+        k3 = Am @ (Y + 0.5 * h * k2)
+        k4 = A(lam[i + 1]) @ (Y + h * k3)
+        Y = Y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        F[i + 1] = Y
+    return F[:, 0, 0], F[:, 0, 1], F[:, 1, 0], F[:, 1, 1]
 
 
 def _step(v, h, la, lm, lb):

@@ -44,6 +44,27 @@ class TestMakeTestMap:
         m.check()
         assert dc.winding_number(m, 10) == 1
 
+    @pytest.mark.parametrize("ns", [48, 256])
+    def test_array_callables_match_per_value_calls(self, ns):
+        # verify's maps (the radial minimizer's profile, twisted by np.log),
+        # and the identity profile pinned to r* = 0.5 at s = 1: the pinned
+        # end value must not leak into the radii the twist sees
+        verify_pair = rd.AnnulusPair(1.0, 2.0, 1.0, 1.25)
+        radial = lg.radial_profile(rd.build(UNIT, verify_pair, n=1024))
+
+        def per_value(f):
+            return lambda s: np.asarray([f(x) for x in s], dtype=float)
+
+        for pair, profile in ((verify_pair, radial),
+                              (rd.AnnulusPair(1.0, 2.0, 0.5, 2.0), lambda s: s)):
+            for kind in ("radial", "twist"):
+                ours = lg.make_test_map(lg.TestMapSpec(
+                    kind, pair, ns, 64, profile=profile, twist=np.log))
+                ref = lg.make_test_map(lg.TestMapSpec(
+                    kind, pair, ns, 64, profile=per_value(profile),
+                    twist=per_value(np.log)))
+                np.testing.assert_array_equal(ours.h, ref.h)
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             lg.make_test_map(lg.TestMapSpec(kind="spiral", pair=PAIR))
