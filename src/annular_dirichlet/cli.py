@@ -151,19 +151,57 @@ def _config_hash(raw):
 
 
 FLOAT = "%.17g"   # exact on round trip
+ROW_BLOCK = 2048  # rows formatted and written at a time
 
 
 def _write_csv(path, header_meta, names, columns):
-    """One CSV table from columns of one type each (arrays or sequences):
-    floats printed with FLOAT, anything else with str.  The format of a
-    column is read off its first value, and each row is one `%`."""
-    columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
-    fmt = ",".join(FLOAT if len(c) and isinstance(c[0], float) else "%s"
-                   for c in columns)
-    lines = [f"# {k}: {v}" for k, v in header_meta.items()]
-    lines.append(",".join(names))
-    lines.extend(fmt % row for row in zip(*columns))
-    path.write_text("\n".join(lines) + "\n")
+    """One CSV table from columns of one type each (arrays or sequences).
+
+    A column's format is read off its first value after `tolist()`: a
+    Python float means FLOAT for the whole column, anything else str.
+    Rows are formatted and written ROW_BLOCK at a time, so that only one
+    block of strings is alive at once.  Within a block each distinct float
+    is formatted once, keyed by its bit pattern so that 0.0 and -0.0 keep
+    their own text, and so is each distinct value of an integer or boolean
+    array column.
+    """
+    first = [c[:1].tolist() if isinstance(c, np.ndarray) else c[:1]
+             for c in columns]
+    is_float = [bool(f) and isinstance(f[0], float) for f in first]
+    # float columns as bit patterns, integer and boolean arrays as they are,
+    # anything else as a sequence of values
+    columns = [np.asarray(c, dtype=np.float64).view(np.uint64) if f
+               else c.tolist() if isinstance(c, np.ndarray)
+               and c.dtype.kind not in "biu" else c
+               for c, f in zip(columns, is_float)]
+    n = min(map(len, columns), default=0)
+    head = [f"# {k}: {v}" for k, v in header_meta.items()]
+    head.append(",".join(names))
+    with path.open("w") as out:
+        out.write("\n".join(head) + "\n")
+        for a in range(0, n, ROW_BLOCK):
+            block = [c[a:min(a + ROW_BLOCK, n)] for c in columns]
+            bits = [c for c, f in zip(block, is_float) if f]
+            if bits:
+                texts = _format_once(np.concatenate(bits), FLOAT, np.float64)
+                floats = iter(texts.reshape(len(bits), -1).tolist())
+            cells = []
+            for c, f in zip(block, is_float):
+                if f:
+                    cells.append(next(floats))
+                elif isinstance(c, np.ndarray):
+                    cells.append(_format_once(c, "%s", c.dtype).tolist())
+                else:
+                    cells.append([str(v) for v in c])
+            out.write("\n".join(map(",".join, zip(*cells))) + "\n")
+
+
+def _format_once(keys, fmt, dtype):
+    """`fmt % v` for each key, v the key viewed as dtype, as an object
+    array: each distinct key is formatted once."""
+    distinct, index = np.unique(keys, return_inverse=True)
+    texts = [fmt % v for v in distinct.view(dtype).tolist()]
+    return np.array(texts, dtype=object)[index]
 
 
 def _write_json(path, obj):
@@ -194,13 +232,12 @@ def cmd_solve(cfg, out):
     w = cfg["weight"]
     sol = rd.build(w, pair, n=cfg["numerics"]["ode_grid"])
     s = sol.phi.s
-    lam = np.asarray(w(s), dtype=float)
     _write_csv(out / "solution.csv",
                _meta(cfg, {"pair": f"{pair.r},{pair.R},{pair.r_star},{pair.R_star}",
                            "phi0": FLOAT % sol.phi0, "case": sol.case_tag}),
                ["s", "phi_tilde", "phi", "H", "Hdot", "lambda"],
                [s, sol.phi.phi_tilde, sol.phi.phi, sol.profile.H,
-                sol.profile.Hdot, lam])
+                sol.profile.Hdot, sol.phi.grid.lam])
     _write_json(out / "solution.json", {
         "config_hash": cfg["hash"],
         "phi0": sol.phi0, "r0": sol.r0, "case": sol.case_tag,
@@ -320,19 +357,21 @@ COMMANDS = {"solve": cmd_solve,
             "sweep": partial(cmd_thresholds, table="sweep.csv")}
 
 
+PARSER = argparse.ArgumentParser(
+    prog="annular-dirichlet",
+    description="Radial minimizers of the weighted Dirichlet energy "
+                "between planar annuli")
+PARSER.add_argument("command", choices=sorted(COMMANDS))
+PARSER.add_argument("--config", required=True, help="JSON config file")
+PARSER.add_argument("--out", default=None, help="output directory")
+PARSER.add_argument("--seed", type=int, default=None)
+PARSER.add_argument("--grid", type=int, default=None,
+                    help="override the ODE grid size")
+PARSER.add_argument("--mode", choices=["free", "fixed-outer"], default=None)
+
+
 def main(argv=None):
-    parser = argparse.ArgumentParser(
-        prog="annular-dirichlet",
-        description="Radial minimizers of the weighted Dirichlet energy "
-                    "between planar annuli")
-    parser.add_argument("command", choices=sorted(COMMANDS))
-    parser.add_argument("--config", required=True, help="JSON config file")
-    parser.add_argument("--out", default=None, help="output directory")
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--grid", type=int, default=None,
-                        help="override the ODE grid size")
-    parser.add_argument("--mode", choices=["free", "fixed-outer"], default=None)
-    args = parser.parse_args(argv)
+    args = PARSER.parse_args(argv)
     try:
         cfg = parse_config(Path(args.config).read_text())
         raw = with_overrides(cfg["raw"], args.seed, args.grid, args.mode)

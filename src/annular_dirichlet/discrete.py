@@ -26,6 +26,8 @@ MODE_FREE = "free"
 MODE_FIXED_OUTER = "fixed_outer"
 PERTURBATION_MODES = 4     # k = 1..4 radial and m = 0..4 angular modes
 POLAR_TOL = 1e-12          # relative energy change of a quiet descent step
+ADMISSIBLE_TOL = 1e-9      # slack of |h| about [r_star, R_star] and its ends
+PROFILE_TOL = 1e-10        # slack of a nondecreasing radial profile H
 
 
 class AdmissibilityError(ValueError):
@@ -53,8 +55,8 @@ class RadialVector:
     s: np.ndarray
     H: np.ndarray
 
-    def check(self, tol=1e-10):
-        if np.any(np.diff(self.H) < -tol):
+    def check(self):
+        if np.any(np.diff(self.H) < -PROFILE_TOL):
             raise AdmissibilityError("H must be nondecreasing")
 
 
@@ -93,8 +95,8 @@ class PolarGridMap:
     def dtheta(self):
         return 2 * np.pi / self.ntheta
 
-    def check(self, tol=1e-9):
-        p = self.pair
+    def check(self):
+        p, tol = self.pair, ADMISSIBLE_TOL
         mod = np.abs(self.h)
         if np.any(mod < p.r_star - tol) or np.any(mod > p.R_star + tol):
             raise AdmissibilityError("|h| outside [r_star, R_star]")
@@ -545,7 +547,8 @@ def minimize_polar(w: Weight, pair: rd.AnnulusPair, ns=256, ntheta=256,
         L_S, max_iter)
     h = extend(b)
     mod = np.abs(h)
-    if mod.min() < pair.r_star - 1e-9 or mod.max() > pair.R_star + 1e-9:
+    if (mod.min() < pair.r_star - ADMISSIBLE_TOL
+            or mod.max() > pair.R_star + ADMISSIBLE_TOL):
         h, steps, converged = _descend(init.h, form.grad, project, winds,
                                        form.L, max_iter)
         iterations += steps

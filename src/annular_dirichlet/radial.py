@@ -78,10 +78,9 @@ class CertificateReport:
     margin_tau: float
     margin_tau_dot: float
     margin_angular: float      # lambda/s - tau_dot
-    margin_radial: float       # s*lambda - c/Hdot (n/a -> +inf when skipped)
+    margin_radial: float       # s*lambda - c/Hdot
     identity_residual: float   # |(lambda/s - tau_dot)(s lambda - c/Hdot) - tau^2|
     obs2_residual: float       # |d/ds(H Phi) - lambda H / s|
-    radial_margin_applicable: bool
 
 
 @dataclass
@@ -289,12 +288,10 @@ def claim1_certificate(sol: RadialSolution, w: Weight):
     if c == 0.0:
         # collapse region contributes s*lambda since the c/Hdot term vanishes
         rad = s * lam
-        applicable = True
     else:
         # c/Hdot = c*s*lambda/(H*Phi); the quotient form avoids cancellation
         # where Hdot is tiny, and H*Phi >= c by the monotonicity of H*Phi
         rad = s * lam * (1.0 - c / (H * phi))
-        applicable = True
 
     ident = np.abs(ang[i0:] * rad[i0:] - tau[i0:] ** 2)
     hphi_dot = fd_derivative((H * phi)[i0:], h) / s[i0:]
@@ -309,7 +306,6 @@ def claim1_certificate(sol: RadialSolution, w: Weight):
         margin_radial=float(np.min(rad[i0:])),
         identity_residual=float(np.max(ident)),
         obs2_residual=float(np.max(obs2)),
-        radial_margin_applicable=applicable,
     )
     margins = [report.margin_tau, report.margin_tau_dot,
                report.margin_angular, report.margin_radial]

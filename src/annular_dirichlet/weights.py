@@ -121,8 +121,9 @@ class Weight:
     def min_value(self):
         return float(np.min(self(self._grid())))
 
-    def _grid(self, n=VALIDATION_GRID):
-        s = np.exp(np.linspace(np.log(self.r), np.log(self.R), n))
+    def _grid(self):
+        s = np.exp(np.linspace(np.log(self.r), np.log(self.R),
+                               VALIDATION_GRID))
         s[0], s[-1] = self.r, self.R
         return s
 
@@ -144,12 +145,12 @@ class Weight:
             return Violation(float(grid[i]), float(vals[i]), "non-positive value")
         return None
 
-    def is_nondecreasing(self, tol=MONOTONE_TOL):
+    def is_nondecreasing(self):
         if self.validate() is not None:
             raise WeightError("is_nondecreasing requires a valid weight")
         vals = np.asarray(self(self._grid()))
         running_max = np.maximum.accumulate(vals)
-        return bool(np.all(vals >= running_max - tol))
+        return bool(np.all(vals >= running_max - MONOTONE_TOL))
 
 
 def _check_interval(r, R):

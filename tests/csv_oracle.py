@@ -1,8 +1,8 @@
 """Reference for the CLI's CSV tables: the per-value writer that formats
 one value at a time, and `direct`'s per-node polar_map rows.
 
-The CLI formats whole columns at once; tests hold its files to these byte
-for byte.
+The CLI formats each distinct value of a block of rows once; tests hold
+its files to these byte for byte.
 """
 
 

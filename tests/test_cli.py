@@ -403,8 +403,39 @@ def csv_columns(draw):
     return columns
 
 
+def float_bits(*patterns):
+    return np.array(patterns, dtype=np.uint64).view(np.float64)
+
+
+def two_blocks_and_one_row():
+    n = 2 * cli.ROW_BLOCK + 1
+    x = np.round(np.random.default_rng(3).standard_normal(n), 2)
+    return [np.arange(n), x, -x, x.tolist(), np.sqrt(np.arange(n) % 7.0)]
+
+
+CSV_EDGE_TABLES = {
+    # Phi = Phi~ in case 1: one float in two columns, repeated down each
+    "shared_float": lambda: [np.array([0.1, 0.1, 1 / 3, 0.1]),
+                             np.array([0.1, 1 / 3, 1 / 3, 0.1])],
+    "signed_zero": lambda: [np.array([0.0, -0.0, 0.0, -0.0]), np.zeros(4),
+                            -np.zeros(4), [-0.0, 0.0, -0.0, 0.0]],
+    "nan_payloads": lambda: [
+        float_bits(0x7FF8000000000000, 0xFFF8000000000000,
+                   0x7FF8000000000123, 0xFFF4000000000ABC),
+        float_bits(0xFFF4000000000ABC, 0x7FF8000000000000,
+                   0x7FF8000000000000, 0xFFF8000000000000)],
+    "inf_and_subnormal": lambda: [np.array([np.inf, -np.inf, 5e-324, -5e-324]),
+                                  [5e-324, np.inf, -np.inf, 5e-324]],
+    "list_beside_arrays": lambda: [
+        [0.5, 2.0, 1e300, 0.5], np.array([2.0, 0.5, 0.5, -1e-300]),
+        np.array([-3, 0, 2 ** 62, -3], dtype=np.int64), ["a", "b", "a", "c"]],
+    "no_rows": lambda: [np.zeros(0), [], np.zeros(0, dtype=np.int64)],
+    "two_blocks_and_one_row": two_blocks_and_one_row,
+}
+
+
 class TestCsvWriter:
-    """The column-wise writer against the per-value one, byte for byte."""
+    """The block-wise writer against the per-value one, byte for byte."""
 
     @given(columns=csv_columns())
     @settings(max_examples=200, deadline=None)
@@ -415,6 +446,19 @@ class TestCsvWriter:
         cli._write_csv(d / "columns.csv", meta, names, columns)
         csv_oracle.write_csv(d / "rows.csv", meta, names, zip(*columns))
         assert (d / "columns.csv").read_bytes() == (d / "rows.csv").read_bytes()
+
+    @pytest.mark.parametrize("table", sorted(CSV_EDGE_TABLES))
+    def test_edge_cases_match_per_value_writer(self, tmp_path, table):
+        columns = CSV_EDGE_TABLES[table]()
+        meta = {"config_hash": "0123456789abcdef"}
+        names = [f"c{k}" for k in range(len(columns))]
+        cli._write_csv(tmp_path / "columns.csv", meta, names, columns)
+        csv_oracle.write_csv(tmp_path / "rows.csv", meta, names, zip(*columns))
+        got = (tmp_path / "columns.csv").read_bytes()
+        assert got == (tmp_path / "rows.csv").read_bytes()
+        if table == "signed_zero":
+            assert got.endswith(b"\n0,0,-0,-0\n-0,0,-0,0\n0,0,-0,-0\n"
+                                b"-0,0,-0,0\n")
 
     @pytest.fixture
     def recorded(self, monkeypatch):

@@ -84,6 +84,16 @@ class TestOdeGrid:
         p = po.clamp_and_collapse(p, w)
         assert p.grid.modulus(p.phi) == pytest.approx(np.log(2.0), abs=1e-12)
 
+    @pytest.mark.parametrize("name", ["1", "s", "1/s", "2+sin4s", "s^0.37"])
+    def test_node_weights_are_the_weight_at_the_nodes(self, name):
+        # solve's lambda column is grid.lam: the even nodes of the fine grid
+        # must stay bit for bit w(grid.s)
+        w = LAM_WEIGHTS[name]
+        for n in (16, 1000, 1023, 4096, 8192, 12345):
+            grid = po.OdeGrid(w, w.r, w.R, n)
+            assert grid.lam.tobytes() == \
+                np.asarray(w(grid.s), dtype=float).tobytes(), n
+
 
 N_ORACLE = 4096
 ORACLE_WEIGHTS = {
@@ -93,6 +103,7 @@ ORACLE_WEIGHTS = {
     "2+sin4s": Weight.from_callable(lambda s: 2.0 + np.sin(4 * s), 1.0, 2.0,
                                     samples=2 * N_ORACLE + 1),
 }
+LAM_WEIGHTS = {**ORACLE_WEIGHTS, "s^0.37": Weight.power(0.37, 1.3, 6.1)}
 
 
 class TestAgainstNonlinearRk4:
