@@ -1,11 +1,11 @@
 """Radial minimizer construction, thresholds and proof certificates.
 
 Builds the radial minimizer for an annulus pair from its initial value
-phi0 (one division in the homeomorphism case, a bisection in the
-collapsing case), computes the homeomorphism threshold m and the
-thin-target threshold g, the closed-form minimal energies, and the
-numerical certificates behind the monotone-weight and fixed-boundary
-minimality proofs.
+phi0 (one division in the homeomorphism case, safeguarded Newton on the
+clamped modulus in the collapsing case), computes the homeomorphism
+threshold m and the thin-target threshold g, the closed-form minimal
+energies, and the numerical certificates behind the monotone-weight and
+fixed-boundary minimality proofs.
 """
 
 from __future__ import annotations
@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .phi_ode import (DEFAULT_N, OdeGrid, PhiSolution, RadialProfile,
-                      _simpson, clamp_and_collapse, fd_derivative, recover_H,
-                      solve_phi_tilde)
+from .phi_ode import (DEFAULT_N, AccuracyError, OdeGrid, PhiSolution,
+                      RadialProfile, _simpson, clamp_and_collapse,
+                      fd_derivative, recover_H, solve_phi_tilde)
 from .weights import Weight
 
 MODULUS_TOL = 1e-10
@@ -96,34 +96,38 @@ def find_initial_value(w: Weight, pair: AnnulusPair, n=DEFAULT_N,
     """Initial value phi0 whose target modulus matches the annulus pair.
 
     Case 1 (phi0 >= 0): the path never clamps and H = h0 + phi0 h1 ends
-    at R*/r*, so phi0 = (R*/r* - h0(R)) / h1(R).  Case 2: bisection of the
-    clamped path's modulus, nondecreasing in phi0, on [-max lambda, 0] (a
-    path from -max lambda stays below it, with modulus 0).
+    at R*/r*, so phi0 = (R*/r* - h0(R)) / h1(R).  Case 2: safeguarded
+    Newton on the clamped modulus m(phi0), nondecreasing in phi0, in the
+    bracket [-max lambda, 0] (a path from -max lambda stays below it, with
+    modulus 0), from the case-1 value; a step that leaves the bracket
+    bisects it.  dphi_tilde/dphi0 = (h0 q1 - h1 q0)/H^2, so dm/dphi0 is the
+    modulus of that on the nodes where phi_tilde > 0.
     """
     g = grid if grid is not None else OdeGrid(w, pair.r, pair.R, n)
-    h0, h1, _, _ = g.columns
+    h0, h1, q0, q1 = g.columns
     phi0 = (pair.R_star / pair.r_star - h0[-1]) / h1[-1]
     if phi0 >= 0:
         return float(phi0)
     target = pair.mod_target
-
-    def mod(phi0):
-        y = np.maximum(0.0, g.integrate(phi0))
-        return g.modulus(y)
-
+    wronskian = h0 * q1 - h1 * q0
     lo, hi = -g.lam_max, 0.0
     scale = max(1.0, g.lam_max)
     while hi - lo > PHI0_INTERVAL_TOL * scale:
-        mid = 0.5 * (lo + hi)
-        m = mod(mid)
+        if not lo < phi0 < hi:
+            phi0 = 0.5 * (lo + hi)
+        y = g.integrate(phi0)
+        m = g.modulus(np.maximum(0.0, y))
         if abs(m - target) <= MODULUS_TOL:
-            lo = hi = mid
-            break
+            return float(phi0)
         if m < target:
-            lo = mid
+            lo = phi0
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            hi = phi0
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            H = h0 + phi0 * h1
+            dm = g.modulus(np.where(y > 0, wronskian / (H * H), 0.0))
+        phi0 = phi0 - (m - target) / dm if dm > 0 else hi
+    return float(0.5 * (lo + hi))
 
 
 def build(w: Weight, pair: AnnulusPair, n=DEFAULT_N):
@@ -200,12 +204,18 @@ def _threshold_g(g: OdeGrid):
     a, b = q0 - g.lam * h0, q1 - g.lam * h1
     up = b > 0
     phi_g = float(np.min(-a[up] / b[up]))
+    H = h0 + phi_g * h1
+    if not np.all(H > 0):
+        raise AccuracyError(
+            f"threshold_g: the extreme path H = h0 + phi_g h1 reaches "
+            f"{np.min(H):.3g} <= 0, cancelled in columns up to "
+            f"{np.max(np.abs(h1)):.3g}")
     y = g.integrate(phi_g)
     k = int(np.searchsorted(y >= 0, True))
     ratio = 1.0                     # H_k / min H; H(r) = 1 is least if k = 0
     if k > 0:
         cell = slice(k - 1, k + 1)
-        H = h0[cell] + phi_g * h1[cell]
+        H = H[cell]
         dH = g.h * (q0[cell] + phi_g * q1[cell]) / g.lam[cell]   # per cell
         ratio = H[1] / _cell_minimum(H[0], H[1], dH[0], dH[1])
     return float(ratio * np.exp(_simpson(y[k:] / g.lam[k:], g.h)))

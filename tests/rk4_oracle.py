@@ -1,8 +1,9 @@
 """Independent oracle for `phi_ode`: fixed-step RK4 on the nonlinear
 characteristic equation dPhi/dt = lambda - Phi^2/lambda, one Python step at
 a time, the same steps on its linearisation for the fundamental matrix, a
-bisection for the zero of phi_tilde inside one grid cell, and the
-thin-target threshold g by bracketing and bisection on the initial value.
+bisection for the zero of phi_tilde inside one grid cell, the
+thin-target threshold g by bracketing and bisection on the initial value,
+and the collapsing-case initial value by bisection of the clamped modulus.
 
 The package integrates the linearised equation instead; the two are
 different discretisations of the same ODE, so they agree to the RK4
@@ -112,3 +113,27 @@ def bisect_threshold_g(grid):
         else:
             hi = mid
     return float(np.exp(grid.modulus(np.maximum(0.0, rk4_path(grid, lo)))))
+
+
+
+def clamped_modulus(grid, phi0):
+    """Modulus of the clamped path max(0, phi_tilde) from phi0."""
+    return grid.modulus(np.maximum(0.0, grid.integrate(phi0)))
+
+
+def bisect_initial_value(grid, target):
+    """Collapsing-case phi0 < 0 whose clamped path has the modulus
+    `target`: bisection of that modulus, nondecreasing in phi0, on
+    [-max lambda, 0] until it is within 1e-10 of the target or the interval
+    is 1e-12 max(1, max lambda) long."""
+    lo, hi = -grid.lam_max, 0.0
+    while hi - lo > 1e-12 * max(1.0, grid.lam_max):
+        mid = 0.5 * (lo + hi)
+        m = clamped_modulus(grid, mid)
+        if abs(m - target) <= 1e-10:
+            return mid
+        if m < target:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)

@@ -161,6 +161,18 @@ class TestThresholdCommand:
             assert m == pytest.approx((rho * rho + 1) / (2 * rho), abs=1e-7)
             assert g == pytest.approx(rho, abs=1e-6)
 
+    def test_extreme_path_lost_to_cancellation(self, tmp_path, capsys):
+        # at the default grid threshold_m stops s^-12 on [1, 50] first
+        cfg = {"weight": {"kind": "power", "exponent": -12},
+               "rho_values": [50]}
+        p = write_config(tmp_path, cfg)
+        rc = cli.main(["threshold", "--config", str(p), "--out",
+                       str(tmp_path), "--grid", "32768"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: threshold_g: the extreme path")
+        assert not (tmp_path / "thresholds.csv").exists()
+
 
 class TestEnergyCommand:
     def test_consistency(self, tmp_path):

@@ -86,6 +86,14 @@ class TestPolarGridMap:
         rev = dc.PolarGridMap(np.conj(m.h), m.pair, t=m.t, theta=m.theta)
         assert dc.winding_number(rev, 3) == -1
 
+    @pytest.mark.xfail(strict=True, raises=dc.AdmissibilityError,
+                       reason="collapse defect: build's rescale by R*/H(R) "
+                       "puts the plateau 1.5e-9 below r* (ROADMAP item 2)")
+    def test_collapse_embedding_is_admissible(self):
+        sol = rd.build(Weight.power(1.0, 1.0, 2.0),
+                       rd.AnnulusPair(1.0, 2.0, 1.0, 1.05))
+        dc.embed_radial(sol, 96, 96).check()
+
     def test_degenerate_row_raises(self):
         m = identity_map()
         m.h[5] = 0.0

@@ -1,13 +1,16 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from annular_dirichlet import radial as rd
-from annular_dirichlet.phi_ode import OdeGrid
+from annular_dirichlet.phi_ode import AccuracyError, OdeGrid
 from annular_dirichlet.weights import Weight
 
 import power_oracle
-from rk4_oracle import bisect_threshold_g
+from rk4_oracle import (bisect_initial_value, bisect_threshold_g,
+                        clamped_modulus)
 
 
 def unit(r=1.0, R=2.0):
@@ -37,7 +40,7 @@ class TestFindInitialValue:
             phi0 = rd.find_initial_value(w, pair, grid=grid)
             phi = np.maximum(0.0, grid.integrate(phi0))
             mod = grid.modulus(phi)
-            assert mod == pytest.approx(pair.mod_target, abs=1e-9)
+            assert abs(mod - pair.mod_target) <= rd.MODULUS_TOL
 
     def test_sign_encodes_case(self):
         w = unit()
@@ -67,6 +70,68 @@ def test_case1_initial_value_matches_power_closed_form(p, c, rho, f):
     phi0 = rd.find_initial_value(w, rd.AnnulusPair(1.0, rho, 1.0, ratio))
     exact = c * power_oracle.initial_value(p, rho, ratio)
     assert abs(phi0 - exact) <= 1e-10 * max(c, abs(exact))
+
+
+class CountingGrid(OdeGrid):
+    """OdeGrid that counts the paths it integrates."""
+    calls = 0
+
+    def integrate(self, phi0):
+        self.calls += 1
+        return super().integrate(phi0)
+
+
+@given(p=st.floats(min_value=-3.0, max_value=3.0),
+       c=st.floats(min_value=0.1, max_value=10.0),
+       rho=st.floats(min_value=1.01, max_value=5.0),
+       f=st.floats(min_value=1e-6, max_value=1 - 1e-9))
+@settings(max_examples=30, deadline=None)
+@example(p=3.0, c=0.1, rho=4.42186416308189, f=1.6231336387022867e-06)
+@example(p=1.0, c=1.0, rho=1.01, f=1e-6)
+@example(p=0.0, c=10.0, rho=5.0, f=0.3096606768944577)
+def test_case2_initial_value_meets_the_modulus_contract(p, c, rho, f):
+    # ratio = 1 + f (m - 1) with m = h0(R), the grid's own threshold, so
+    # the pair is in case 2 however close f is to 1
+    w = Weight.power(p, 1.0, rho, value=c)
+    grid = CountingGrid(w, 1.0, rho)
+    ratio = 1.0 + f * (grid.columns[0][-1] - 1.0)
+    pair = rd.AnnulusPair(1.0, rho, 1.0, ratio)
+    phi0 = rd.find_initial_value(w, pair, grid=grid)
+    # the worst of 13000 draws (random, corners and small f) took 15
+    # paths (first example); the bisection took up to 38
+    assert grid.calls <= 16
+    assert phi0 < 0
+    assert abs(clamped_modulus(grid, phi0) - pair.mod_target) <= rd.MODULUS_TOL
+    # both roots meet the contract, so they differ by about 2 MODULUS_TOL
+    # over the slope of the modulus, taken at the lower one: that is 0 on
+    # the flat part below the kink, where a target under MODULUS_TOL does
+    # not pin phi0 (second example: the bisection stops at -lambda_max/2).
+    # The worst of 3000 draws was 1.93 MODULUS_TOL (third example)
+    ref = bisect_initial_value(grid, pair.mod_target)
+    low, step = min(phi0, ref), 1e-7 * c
+    slope = (clamped_modulus(grid, low + step)
+             - clamped_modulus(grid, low - step)) / (2 * step)
+    assert abs(phi0 - ref) * slope <= 2 * rd.MODULUS_TOL
+
+
+@pytest.mark.parametrize("w", [
+    unit(1.0, 3.0), Weight.power(1.0, 1.0, 3.0), Weight.power(-1.0, 1.0, 3.0),
+    Weight.power(-4.0, 1.0, 3.0), Weight.power(3.0, 1.0, 3.0),
+    Weight.from_callable(lambda s: 2.0 + np.sin(4 * s), 1.0, 3.0,
+                         samples=8193)],
+    ids=["1", "s", "1/s", "s^-4", "s^3", "2+sin4s"])
+@pytest.mark.parametrize("f", [1e-6, 0.5])
+def test_case2_build_raises_no_warning(w, f):
+    # the Newton slope divides by H^2 on every node, dead ones included
+    m = OdeGrid(w, 1.0, 3.0).columns[0][-1]
+    pair = rd.AnnulusPair(1.0, 3.0, 1.0, 1.0 + f * (m - 1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = rd.build(w, pair)
+    assert sol.case_tag == rd.CASE2
+    grid = sol.phi.grid
+    assert abs(clamped_modulus(grid, sol.phi0) - pair.mod_target) \
+        <= rd.MODULUS_TOL
 
 
 class TestBuild:
@@ -177,6 +242,16 @@ class TestThresholds:
         assert np.max(excess) <= 1e-14
         assert np.max(excess) >= -1e-14
         assert np.min(h0 + phi_g * h1) > 0.0
+
+    @pytest.mark.parametrize("p, rho, n", [(-12.0, 50.0, 4096),
+                                           (-10.0, 50.0, 4096),
+                                           (-24.0, 10.0, 4096),
+                                           (-12.0, 50.0, 32768)])
+    def test_g_extreme_path_lost_to_cancellation(self, p, rho, n):
+        # the columns reach 1e18 and beyond, and H = h0 + phi_g h1 cancels
+        # to a nonpositive value: a typed error, not an IndexError
+        with pytest.raises(AccuracyError, match="extreme path"):
+            rd.threshold_g(Weight.power(p, 1.0, rho), rho, n=n)
 
 
 class TestEnergyClosedForm:
