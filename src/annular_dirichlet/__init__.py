@@ -2,8 +2,8 @@
 energy between planar annuli."""
 
 from .weights import Weight, WeightError, weight_from_config
-from .phi_ode import (OdeGrid, PhiSolution, RadialProfile, clamp_and_collapse,
-                      recover_H, solve_phi_tilde)
+from .phi_ode import (OdeGrid, PhiSolution, RadialProfile, recover_H,
+                      solve_phi_tilde)
 from .radial import (AnnulusPair, CertificateReport, FixedBoundaryCoeffs,
                      RadialSolution, build, claim1_certificate,
                      energy_closed_form, find_initial_value,

@@ -102,8 +102,6 @@ def parse_config(text_or_dict):
             raise ConfigError(label + str(e)) from e
     *ratio_weights, cfg["weight"] = weights
     cfg["ratio_weights"] = list(zip(ratios, ratio_weights))
-    if cfg["weight"].validate() is not None:
-        raise ConfigError("weight failed positivity validation")
     cfg["hash"] = _config_hash(raw)
     cfg["raw"] = raw
     return cfg

@@ -65,15 +65,8 @@ class PolarGridMap:
     h: np.ndarray                 # complex, shape (ns, ntheta)
     pair: rd.AnnulusPair
     mode: str = MODE_FREE
-    t: np.ndarray = field(default=None, repr=False)
-    theta: np.ndarray = field(default=None, repr=False)
-
-    def __post_init__(self):
-        ns, ntheta = self.h.shape
-        if self.t is None:
-            self.t = np.linspace(np.log(self.pair.r), np.log(self.pair.R), ns)
-        if self.theta is None:
-            self.theta = 2 * np.pi * np.arange(ntheta) / ntheta
+    t: np.ndarray = field(kw_only=True, repr=False)       # log radii per row
+    theta: np.ndarray = field(kw_only=True, repr=False)   # angle per column
 
     @property
     def ns(self):
@@ -301,8 +294,6 @@ def minimize_radial(w: Weight, pair: rd.AnnulusPair, n=2048):
     nonnegative and H monotone (FeasibilityError otherwise).
     rep.iterations counts the banded solves.
     """
-    if w.validate() is not None:
-        raise ValueError("weight failed validation")
     t = np.linspace(np.log(pair.r), np.log(pair.R), n + 1)
     s = np.exp(t)
     s[0], s[-1] = pair.r, pair.R
@@ -504,8 +495,6 @@ def minimize_polar(w: Weight, pair: rd.AnnulusPair, ns=256, ntheta=256,
     on the full map.  rep.iterations counts the steps of all attempts
     of both.
     """
-    if w.validate() is not None:
-        raise ValueError("weight failed validation")
     if init is None:
         sol = radial_solution if radial_solution is not None \
             else rd.build(w, pair)

@@ -9,14 +9,15 @@ dPhi/dt = (lambda^2 - Phi^2)/lambda.  This Riccati equation linearises:
 with y = (H, lambda dH/dt), y' = [[0, 1/lambda], [lambda, 0]] y and
 Phi = lambda H_t / H.  One fundamental matrix of the linear system per
 grid therefore answers every initial value phi0 (y(r) = (1, phi0)); its
-RK4 recurrence is one LAPACK band forward substitution.  The
-clamped function Phi = max(0, Phi_tilde) then drives the radial profile
-through H'/H = Phi/(s lambda), i.e. H(s) = r_star * exp(int Phi/lambda dt).
+RK4 recurrence is one LAPACK band forward substitution.  A solve returns
+the clamped function Phi = max(0, Phi_tilde) and its collapse radius r0,
+up to which Phi = 0; Phi drives the radial profile through
+H'/H = Phi/(s lambda), i.e. H(s) = r_star * exp(int Phi/lambda dt).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -37,9 +38,9 @@ class AccuracyError(RuntimeError):
 class PhiSolution:
     grid: OdeGrid            # the grid the path lives on
     phi_tilde: np.ndarray
-    phi: np.ndarray | None   # max(0, phi_tilde); None before clamping
+    phi: np.ndarray          # max(0, phi_tilde)
     phi0: float
-    r0: float | None         # collapse radius; None before clamping
+    r0: float                # collapse radius: phi = 0 on [r, r0]
     residual: float          # max relative defect of (H, lambda H_t)
 
     @property
@@ -58,10 +59,6 @@ class PhiSolution:
     def R(self):
         return float(self.s[-1])
 
-    @property
-    def clamped(self):
-        return self.phi is not None
-
 
 @dataclass
 class RadialProfile:
@@ -69,7 +66,6 @@ class RadialProfile:
     H: np.ndarray
     Hdot: np.ndarray
     r_star: float
-    residual: float   # max |FD(H) - Hdot| over interior nodes
 
 
 class OdeGrid:
@@ -182,9 +178,9 @@ def _fundamental_columns(lam, lam_half, h):
 
 def solve_phi_tilde(w: Weight, r, R, phi0, n=DEFAULT_N,
                     grid: OdeGrid | None = None):
-    """Integrate the characteristic ODE with initial value phi0."""
-    if w.validate() is not None:
-        raise ValueError("weight failed validation")
+    """Integrate the characteristic ODE with initial value phi0; the
+    solution carries phi_tilde, phi = max(0, phi_tilde) and the collapse
+    radius r0 (r when phi0 >= 0, R when phi_tilde stays negative)."""
     g = grid if grid is not None else OdeGrid(w, r, R, n)
     y = g.integrate(phi0)
     residual = _ode_residual(g, phi0)
@@ -196,8 +192,14 @@ def solve_phi_tilde(w: Weight, r, R, phi0, n=DEFAULT_N,
         raise AccuracyError(
             f"a priori bound violated: max |phi_tilde| "
             f"{np.max(np.abs(y)):.6g} above {bound:.6g}")
-    return PhiSolution(grid=g, phi_tilde=y, phi=None, phi0=float(phi0),
-                       r0=None, residual=residual)
+    if phi0 >= 0:
+        r0 = g.s[0]
+    elif y[-1] < 0:
+        r0 = g.s[-1]
+    else:
+        r0 = _refine_root(g, y, int(np.searchsorted(y >= 0, True)) - 1)
+    return PhiSolution(grid=g, phi_tilde=y, phi=np.maximum(0.0, y),
+                       phi0=float(phi0), r0=float(r0), residual=residual)
 
 
 def _ode_residual(g: OdeGrid, phi0):
@@ -254,54 +256,34 @@ def cumulative_integral(f, h):
     return out
 
 
-def clamp_and_collapse(p: PhiSolution, w: Weight | None = None):
-    """Fill phi = max(0, phi_tilde) and locate the collapse radius r0."""
-    phi = np.maximum(0.0, p.phi_tilde)
-    if p.phi0 >= 0:
-        r0 = p.r
-    elif p.phi_tilde[-1] < 0:
-        r0 = p.R
-    else:
-        i = int(np.searchsorted(p.phi_tilde >= 0, True))
-        r0 = _refine_root(p, w, i - 1)
-    return replace(p, phi=phi, r0=float(r0))
-
-
-def _refine_root(p: PhiSolution, w: Weight | None, i):
+def _refine_root(g: OdeGrid, y, i):
     """Root of phi_tilde inside the bracketing cell [t_i, t_{i+1}].
 
     The root of the cubic Hermite interpolant of phi_tilde, whose end
     slopes come from the ODE itself; its error in the cell is O(h^4) for
-    a smooth weight.  Falls back to linear interpolation when the weight
-    is not available.
+    a smooth weight.
     """
-    t_lo, t_hi = p.t[i], p.t[i + 1]
-    y0, y1 = float(p.phi_tilde[i]), float(p.phi_tilde[i + 1])
+    t_lo, t_hi = g.t[i], g.t[i + 1]
+    y0, y1 = float(y[i]), float(y[i + 1])
     u = y0 / (y0 - y1)
-    if w is not None:
-        h = t_hi - t_lo
-        l0, l1 = float(w(p.s[i])), float(w(p.s[i + 1]))
-        d0, d1 = h * (l0 - y0 * y0 / l0), h * (l1 - y1 * y1 / l1)
-        cubic = [2 * y0 + d0 - 2 * y1 + d1, -3 * y0 - 2 * d0 + 3 * y1 - d1,
-                 d0, y0]
-        # the cubic is nearly linear on the cell: its root there is the one
-        # next to the linear guess, the other two lie O(1/h) away
-        roots = np.roots(cubic)
-        u = float(np.clip(roots[np.argmin(np.abs(roots - u))].real, 0.0, 1.0))
+    h = t_hi - t_lo
+    l0, l1 = float(g.w(g.s[i])), float(g.w(g.s[i + 1]))
+    d0, d1 = h * (l0 - y0 * y0 / l0), h * (l1 - y1 * y1 / l1)
+    cubic = [2 * y0 + d0 - 2 * y1 + d1, -3 * y0 - 2 * d0 + 3 * y1 - d1,
+             d0, y0]
+    # the cubic is nearly linear on the cell: its root there is the one
+    # next to the linear guess, the other two lie O(1/h) away
+    roots = np.roots(cubic)
+    u = float(np.clip(roots[np.argmin(np.abs(roots - u))].real, 0.0, 1.0))
     return np.exp(t_lo + u * (t_hi - t_lo))
 
 
 def recover_H(p: PhiSolution, w: Weight, r_star):
     """Radial profile H(s) = r_star * exp(int_r^s Phi/(t lambda) dt)."""
-    if not p.clamped:
-        raise ValueError("clamp_and_collapse must run before recover_H")
     if r_star <= 0:
         raise ValueError(f"r_star must be positive, got {r_star}")
     lam = np.asarray(w(p.s), dtype=float)
     h = p.t[1] - p.t[0]
     H = r_star * np.exp(cumulative_integral(p.phi / lam, h))
     Hdot = H * p.phi / (p.s * lam)
-    fd = fd_derivative(H, h) / p.s
-    residual = float(np.max(np.abs(fd - Hdot)))
-    return RadialProfile(s=p.s, H=H, Hdot=Hdot, r_star=float(r_star),
-                         residual=residual)
+    return RadialProfile(s=p.s, H=H, Hdot=Hdot, r_star=float(r_star))

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .phi_ode import (DEFAULT_N, AccuracyError, OdeGrid, PhiSolution,
-                      RadialProfile, _simpson, clamp_and_collapse,
-                      fd_derivative, recover_H, solve_phi_tilde)
+                      RadialProfile, _simpson, fd_derivative, recover_H,
+                      solve_phi_tilde)
 from .weights import Weight
 
 MODULUS_TOL = 1e-10
@@ -134,7 +134,7 @@ def build(w: Weight, pair: AnnulusPair, n=DEFAULT_N):
     """Construct the radial minimizer end to end for the given pair."""
     grid = OdeGrid(w, pair.r, pair.R, n)
     phi0 = find_initial_value(w, pair, grid=grid)
-    p = clamp_and_collapse(solve_phi_tilde(w, pair.r, pair.R, phi0, grid=grid), w)
+    p = solve_phi_tilde(w, pair.r, pair.R, phi0, grid=grid)
     profile = recover_H(p, w, pair.r_star)
     # pin the outer target radius exactly; the modulus already matches to tol
     factor = pair.R_star / profile.H[-1]
@@ -150,13 +150,17 @@ def build(w: Weight, pair: AnnulusPair, n=DEFAULT_N):
 
 def _threshold_grid(w: Weight, rho, n):
     """Grid for a threshold at ratio rho.  Thresholds depend only on the
-    ratio: the weight's own interval serves when its ratio is rho,
-    otherwise [1, rho] with a transported copy of the weight."""
+    ratio: the weight's own interval serves when its ratio is rho; a
+    constant weight also answers any other ratio, on [1, rho]."""
     if rho <= 1:
         raise ValueError(f"need rho > 1, got {rho}")
     r, R = w.r, w.R
     if not abs(R / r - rho) <= RATIO_RTOL * abs(rho):
-        w, r, R = _transport(w, 1.0, rho), 1.0, rho
+        if w.kind != "constant":
+            raise ValueError(
+                "threshold ratio must match the weight's interval ratio "
+                "(except for constant weights)")
+        w, r, R = Weight.constant(w.value, 1.0, rho), 1.0, rho
     return OdeGrid(w, r, R, n)
 
 
@@ -180,7 +184,7 @@ def thresholds(w: Weight, rho, n=DEFAULT_N):
 
 def _threshold_m(g: OdeGrid):
     p = solve_phi_tilde(g.w, g.s[0], g.s[-1], 0.0, grid=g)
-    return float(np.exp(g.modulus(np.maximum(0.0, p.phi_tilde))))
+    return float(np.exp(g.modulus(p.phi)))
 
 
 def _threshold_g(g: OdeGrid):
@@ -228,20 +232,6 @@ def _cell_minimum(y0, y1, d0, d1):
     u = np.roots([3 * c3, 2 * c2, d0])
     u = u[(u.imag == 0) & (u.real >= 0) & (u.real <= 1)].real
     return float(min(y0, y1, *(y0 + u * (d0 + u * (c2 + u * c3)))))
-
-
-def _transport(w: Weight, r, R):
-    """Copy of the weight rescaled in s to live on [r, R]."""
-    if w.kind == "constant":
-        return Weight.constant(w.value, r, R)
-    if not abs(R / r - w.R / w.r) <= RATIO_RTOL * abs(w.R / w.r):
-        raise ValueError(
-            "threshold ratio must match the weight's interval ratio "
-            "(except for constant weights)")
-    k = r / w.r
-    if w.kind == "power":
-        return Weight.power(w.exponent, r, R, value=w.value * k ** (-w.exponent))
-    return Weight.tabulated(w.abscissae * k, w.ordinates, r=r, R=R)
 
 
 def energy_closed_form(sol: RadialSolution, w: Weight):

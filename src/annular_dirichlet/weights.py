@@ -1,8 +1,10 @@
 """Radial weight functions on an interval [r, R].
 
 Three concrete families are supported: constant weights, power weights
-``s**p`` and tabulated weights with piecewise-linear interpolation.  All
-weights must be strictly positive on their interval.
+``s**p`` and tabulated weights with piecewise-linear interpolation.  A
+weight is positive on its interval by construction: the constructor runs
+the exact check `Weight.validate` and raises `WeightError` otherwise, so
+no caller checks again.
 """
 
 from __future__ import annotations
@@ -31,7 +33,8 @@ class Weight:
     """Positive radial weight on [r, R].
 
     Use the ``constant``, ``power`` and ``tabulated`` constructors rather
-    than instantiating directly.
+    than instantiating directly.  Construction raises `WeightError` unless
+    0 < r < R and the weight is positive on [r, R].
     """
 
     kind: str
@@ -42,19 +45,21 @@ class Weight:
     abscissae: np.ndarray | None = field(default=None, repr=False)
     ordinates: np.ndarray | None = field(default=None, repr=False)
 
+    def __post_init__(self):
+        _check_interval(self.r, self.R)
+        bad = self.validate()
+        if bad is not None:
+            raise WeightError(f"{self.kind} weight must be positive on "
+                              f"[{self.r:g}, {self.R:g}]: {bad.reason} "
+                              f"{bad.value:g} at s = {bad.where:g}")
+
     @staticmethod
     def constant(value, r, R):
-        _check_interval(r, R)
-        if value <= 0:
-            raise WeightError(f"constant weight must be positive, got {value}")
         return Weight("constant", float(r), float(R), value=float(value))
 
     @staticmethod
     def power(exponent, r, R, value=1.0):
         """Weight value * s**exponent."""
-        _check_interval(r, R)
-        if value <= 0:
-            raise WeightError(f"power weight prefactor must be positive, got {value}")
         return Weight("power", float(r), float(R), value=float(value),
                       exponent=float(exponent))
 
@@ -70,7 +75,6 @@ class Weight:
             raise WeightError("tabulated abscissae must be strictly increasing")
         r = s[0] if r is None else float(r)
         R = s[-1] if R is None else float(R)
-        _check_interval(r, R)
         at_r, at_R = np.isclose(s[0], r), np.isclose(s[-1], R)
         if not ((at_r or s[0] < r) and (at_R or R < s[-1])):
             raise WeightError(f"tabulated samples cover [{s[0]:g}, {s[-1]:g}], "
@@ -79,10 +83,7 @@ class Weight:
             a, b = (s[0] if at_r else r), (s[-1] if at_R else R)
             cut = np.r_[a, s[(s > a) & (s < b)], b]
             s, lam = cut, np.interp(cut, s, lam)
-        w = Weight("tabulated", r, R)
-        object.__setattr__(w, "abscissae", s)
-        object.__setattr__(w, "ordinates", lam)
-        return w
+        return Weight("tabulated", r, R, abscissae=s, ordinates=lam)
 
     @staticmethod
     def from_callable(f, r, R, samples=4097):
@@ -97,23 +98,23 @@ class Weight:
         if np.any(s_arr < self.r - eps) or np.any(s_arr > self.R + eps):
             raise WeightError(
                 f"evaluation outside [{self.r}, {self.R}]: s={s}")
-        if self.kind == "constant":
-            out = np.full_like(s_arr, self.value)
-        elif self.kind == "power":
-            out = self.value * s_arr ** self.exponent
-        else:
-            out = np.interp(s_arr, self.abscissae, self.ordinates)
+        out = self._values(s_arr)
         return out if out.ndim else float(out)
+
+    def _values(self, s):
+        """The weight at the radii s (an array), unchecked against [r, R]."""
+        if self.kind == "constant":
+            return np.full_like(s, self.value)
+        if self.kind == "power":
+            return self.value * s ** self.exponent
+        return np.interp(s, self.abscissae, self.ordinates)
 
     def scale(self, c):
         """Return the weight c*lambda, c > 0 (exact, constructor level)."""
-        if c <= 0:
-            raise WeightError(f"scale factor must be positive, got {c}")
         if self.kind == "tabulated":
             return Weight.tabulated(self.abscissae, c * self.ordinates)
-        w = Weight(self.kind, self.r, self.R, value=c * self.value,
-                   exponent=self.exponent)
-        return w
+        return Weight(self.kind, self.r, self.R, value=c * self.value,
+                      exponent=self.exponent)
 
     def max_value(self):
         return float(np.max(self(self._grid())))
@@ -128,26 +129,22 @@ class Weight:
         return s
 
     def validate(self):
-        """Return None if the weight is admissible, else the first Violation."""
+        """Return None if the weight is positive on [r, R], else the first
+        Violation.  Exact: a linear interpolant of positive samples is
+        positive, and value * s**p is monotone in s, so the samples kept on
+        [r, R] (tabulated) or the two ends (constant, power) decide.  NaN
+        is not positive."""
         if self.kind == "tabulated":
-            # interpolated zero crossings live between samples of opposite sign
-            lam = self.ordinates
-            bad = np.nonzero(lam <= 0)[0]
-            if bad.size:
-                i = bad[0]
-                return Violation(float(self.abscissae[i]), float(lam[i]),
-                                 "non-positive sample")
-        grid = self._grid()
-        vals = np.asarray(self(grid))
-        bad = np.nonzero(vals <= 0)[0]
-        if bad.size:
-            i = bad[0]
-            return Violation(float(grid[i]), float(vals[i]), "non-positive value")
-        return None
+            s, lam = self.abscissae, self.ordinates
+        else:
+            s = np.array([self.r, self.R])
+            lam = self._values(s)
+        if lam.min() > 0:       # False when some value is NaN
+            return None
+        i = np.flatnonzero(~(lam > 0))[0]
+        return Violation(float(s[i]), float(lam[i]), "non-positive value")
 
     def is_nondecreasing(self):
-        if self.validate() is not None:
-            raise WeightError("is_nondecreasing requires a valid weight")
         vals = np.asarray(self(self._grid()))
         running_max = np.maximum.accumulate(vals)
         return bool(np.all(vals >= running_max - MONOTONE_TOL))

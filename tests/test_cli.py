@@ -78,7 +78,8 @@ class TestParseConfig:
         ("polar_grid", [2, 2]), ("polar_grid", [48]), ("polar_grid", 48),
         ("polar_grid", [48, 48, 48]), ("polar_grid", [48.0, 48]),
         ("perturbation", -1), ("perturbation", float("nan")),
-        ("perturbation", float("inf")), ("perturbation", "0.1")])
+        ("perturbation", float("inf")), ("perturbation", "0.1"),
+        ("seed", 1.0), ("seed", True), ("seed", "0")])
     def test_bad_numerics_named(self, key, value):
         bad = dict(BASE)
         bad["numerics"] = dict(BASE["numerics"], **{key: value})
@@ -94,6 +95,38 @@ class TestParseConfig:
         rc = cli.main(["direct", "--config", str(p), "--out", str(tmp_path)])
         assert rc == 2
         assert f"numerics.{next(iter(numerics))}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("pair, message", [
+        ({"r": 1.0, "R": 2.0, "r_star": 1.0},
+         r"pair is missing radii: \['R_star'\]"),
+        ({"r": 1.0, "R": 1.0, "r_star": 1.0, "R_star": 1.25},
+         r"domain radii ordering"),
+        ({"r": 1.0, "R": 2.0, "r_star": 1.5, "R_star": 1.25},
+         r"target radii ordering \(need 0 < r_star < R_star\)"),
+        ({"r": 1.0, "R": 2.0, "r_star": 0.0, "R_star": 1.25},
+         r"target radii ordering")])
+    def test_bad_pair_named(self, pair, message):
+        with pytest.raises(cli.ConfigError, match=message):
+            cli.parse_config(dict(BASE, pair=pair))
+
+    @pytest.mark.parametrize("query", [{}, {"rho_values": []}])
+    def test_neither_pair_nor_ratio(self, query):
+        cfg = {"weight": BASE["weight"], **query}
+        with pytest.raises(cli.ConfigError,
+                           match="needs a pair or a rho/rho_values query"):
+            cli.parse_config(cfg)
+
+    def test_every_ratio_weight_must_be_positive(self, tmp_path, capsys):
+        # positive on the pair's [1, 2], not on the ratio's [1, 3]
+        cfg = {"weight": {"kind": "tabulated",
+                          "samples": [[1, 1], [2, 1], [2.5, -1], [3, 1]]},
+               "pair": BASE["pair"], "rho_values": [3]}
+        p = write_config(tmp_path, cfg)
+        rc = cli.main(["threshold", "--config", str(p), "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: rho 3: tabulated weight must be positive on [1, 3]: "
+            "non-positive value -1 at s = 2.5\n")
 
     def test_missing_weight(self):
         bad = {k: v for k, v in BASE.items() if k != "weight"}
@@ -160,6 +193,27 @@ class TestThresholdCommand:
             rho, m, g = map(float, row.split(","))
             assert m == pytest.approx((rho * rho + 1) / (2 * rho), abs=1e-7)
             assert g == pytest.approx(rho, abs=1e-6)
+
+    @pytest.mark.parametrize("command", ["threshold", "sweep"])
+    def test_table_needs_a_ratio(self, tmp_path, capsys, command):
+        p = write_config(tmp_path, BASE)
+        rc = cli.main([command, "--config", str(p), "--out", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err == \
+            "error: a threshold table needs rho or rho_values\n"
+
+    def test_rho_key_is_a_one_ratio_query(self, tmp_path):
+        weight = {"kind": "power", "exponent": 1.0}
+        rows = []
+        for query in ({"rho": 2.5}, {"rho_values": [2.5]}):
+            out = tmp_path / next(iter(query))
+            p = write_config(tmp_path, {"weight": weight, **query})
+            assert cli.main(["threshold", "--config", str(p),
+                             "--out", str(out)]) == 0
+            rows.append([ln for ln in (out / "thresholds.csv").read_text()
+                         .splitlines() if not ln.startswith("#")])
+        assert rows[0] == rows[1]
+        assert len(rows[0]) == 2
 
     def test_extreme_path_lost_to_cancellation(self, tmp_path, capsys):
         # at the default grid threshold_m stops s^-12 on [1, 50] first

@@ -70,8 +70,7 @@ class TestOdeGrid:
         # but the linear pair meets the residual tolerance at n = 4096
         w = Weight.power(1.0, 1.0, 2.0)
         grid = po.OdeGrid(w, 1.0, 2.0)
-        p = po.clamp_and_collapse(
-            po.solve_phi_tilde(w, 1.0, 2.0, 7.027001980692148, grid=grid), w)
+        p = po.solve_phi_tilde(w, 1.0, 2.0, 7.027001980692148, grid=grid)
         assert p.grid is grid
         assert len(p.s) == len(p.phi) == grid.n + 1
         assert p.grid.modulus(p.phi) == pytest.approx(np.log(5.0), abs=1e-9)
@@ -81,8 +80,14 @@ class TestOdeGrid:
         w = Weight.constant(1.0, 1.0, 2.0)
         grid = po.OdeGrid(w, 1.0, 2.0)
         p = po.solve_phi_tilde(w, 1.0, 2.0, 1.0, grid=grid)
-        p = po.clamp_and_collapse(p, w)
         assert p.grid.modulus(p.phi) == pytest.approx(np.log(2.0), abs=1e-12)
+
+    @pytest.mark.parametrize("r, R, n, message", [
+        (1.0, 2.0, 15, "grid size too small: 15"),
+        (2.0, 2.0, 64, "need 0 < r < R"), (2.0, 1.5, 64, "need 0 < r < R")])
+    def test_bad_grid_raises(self, r, R, n, message):
+        with pytest.raises(ValueError, match=message):
+            po.OdeGrid(Weight.constant(1.0, 1.0, 2.0), r, R, n)
 
     @pytest.mark.parametrize("name", ["1", "s", "1/s", "2+sin4s", "s^0.37"])
     def test_node_weights_are_the_weight_at_the_nodes(self, name):
@@ -127,8 +132,7 @@ class TestAgainstNonlinearRk4:
     @pytest.mark.parametrize("phi0", [-0.3, -0.05])
     def test_collapse_radius_matches_bisection(self, grid, phi0):
         w = grid.w
-        p = po.clamp_and_collapse(
-            po.solve_phi_tilde(w, 1.0, 2.0, phi0, grid=grid), w)
+        p = po.solve_phi_tilde(w, 1.0, 2.0, phi0, grid=grid)
         y = rk4_path(grid, phi0)
         i = int(np.searchsorted(y >= 0, True)) - 1
         r0 = bisect_root(w, grid.t[i], y[i], grid.t[i + 1], grid.s[-1])
@@ -167,9 +171,11 @@ def test_blocked_products_keep_fd_residual_small():
 
 
 class TestClampAndCollapse:
+    """The clamped path phi and collapse radius r0 that a solve returns."""
+
     def test_positive_start_never_clamps(self):
         w = Weight.constant(1.0, 1.0, 2.0)
-        p = po.clamp_and_collapse(po.solve_phi_tilde(w, 1.0, 2.0, 0.3), w)
+        p = po.solve_phi_tilde(w, 1.0, 2.0, 0.3)
         assert p.r0 == 1.0      # collapse radius degenerates to the inner edge
         np.testing.assert_array_equal(p.phi, p.phi_tilde)
 
@@ -177,41 +183,55 @@ class TestClampAndCollapse:
         # phi0 < 0: phi_tilde = (s^2-k)/(s^2+k) crosses zero at s = sqrt(k)
         w = Weight.constant(1.0, 1.0, 2.0)
         phi0 = -0.3
-        p = po.clamp_and_collapse(po.solve_phi_tilde(w, 1.0, 2.0, phi0), w)
+        p = po.solve_phi_tilde(w, 1.0, 2.0, phi0)
         assert p.r0 == pytest.approx(np.sqrt(k_for_phi0(phi0)), abs=1e-10)
         assert np.all(p.phi >= 0.0)
         assert np.all(p.phi[p.s < p.r0] == 0.0)
 
     def test_clamped_region_is_exactly_zero(self):
         w = Weight.constant(1.0, 1.0, 2.0)
-        p = po.clamp_and_collapse(po.solve_phi_tilde(w, 1.0, 2.0, -0.5), w)
+        p = po.solve_phi_tilde(w, 1.0, 2.0, -0.5)
         inside = p.phi[p.s < p.r0 * (1 - 1e-12)]
         assert inside.size > 0
         assert np.all(inside == 0.0)
+
+    def test_path_that_stays_negative_collapses_to_R(self):
+        # phi_tilde = (s^2 - 19)/(s^2 + 19) < 0 on [1, 2]
+        w = Weight.constant(1.0, 1.0, 2.0)
+        p = po.solve_phi_tilde(w, 1.0, 2.0, -0.9)
+        assert p.phi_tilde[-1] < 0.0
+        assert p.r0 == 2.0
+        assert np.all(p.phi == 0.0)
+
+    @pytest.mark.parametrize("phi0", [-0.5, 0.0, 0.4])
+    def test_phi_is_the_clamped_path(self, phi0):
+        p = po.solve_phi_tilde(Weight.power(1.0, 1.0, 2.0), 1.0, 2.0, phi0)
+        assert p.phi.tobytes() == np.maximum(0.0, p.phi_tilde).tobytes()
 
 
 class TestRecoverH:
     def test_conformal_profile(self):
         # phi == lambda == 1 gives H(s) = r_star * s / r
         w = Weight.constant(1.0, 1.0, 2.0)
-        p = po.clamp_and_collapse(po.solve_phi_tilde(w, 1.0, 2.0, 1.0), w)
+        p = po.solve_phi_tilde(w, 1.0, 2.0, 1.0)
         prof = po.recover_H(p, w, 1.0)
         np.testing.assert_allclose(prof.H, prof.s, rtol=1e-12)
         np.testing.assert_allclose(prof.Hdot, 1.0, rtol=1e-10)
 
     def test_plateau_in_collapse_case(self):
         w = Weight.constant(1.0, 1.0, 2.0)
-        p = po.clamp_and_collapse(po.solve_phi_tilde(w, 1.0, 2.0, -0.5), w)
+        p = po.solve_phi_tilde(w, 1.0, 2.0, -0.5)
         prof = po.recover_H(p, w, 1.0)
         inside = prof.H[p.s < p.r0 * (1 - 1e-12)]
         np.testing.assert_array_equal(inside, 1.0)
         assert prof.H[-1] > 1.0
         # the derivative kink at r0 limits the FD residual to ~h^2 there
-        assert prof.residual < 1e-4
+        fd = po.fd_derivative(prof.H, p.t[1] - p.t[0]) / p.s
+        assert np.max(np.abs(fd - prof.Hdot)) < 1e-4
 
     def test_H_is_nondecreasing(self):
         w = Weight.power(1.0, 1.0, 2.0)
-        p = po.clamp_and_collapse(po.solve_phi_tilde(w, 1.0, 2.0, 0.2), w)
+        p = po.solve_phi_tilde(w, 1.0, 2.0, 0.2)
         prof = po.recover_H(p, w, 1.5)
         assert np.all(np.diff(prof.H) >= 0.0)
         assert prof.H[0] == 1.5
@@ -269,8 +289,6 @@ def test_modulus_monotone_in_phi0(phi0, n):
     # larger phi0 -> strictly larger target modulus for fixed domain
     w = Weight.constant(1.0, 1.0, 2.0)
     grid = po.OdeGrid(w, 1.0, 2.0, n=n)
-    lo = po.clamp_and_collapse(po.solve_phi_tilde(w, 1, 2, phi0, n=n,
-                                                  grid=grid), w)
-    hi = po.clamp_and_collapse(po.solve_phi_tilde(w, 1, 2, phi0 + 0.005, n=n,
-                                                  grid=grid), w)
+    lo = po.solve_phi_tilde(w, 1, 2, phi0, n=n, grid=grid)
+    hi = po.solve_phi_tilde(w, 1, 2, phi0 + 0.005, n=n, grid=grid)
     assert hi.grid.modulus(hi.phi) > lo.grid.modulus(lo.phi)

@@ -197,6 +197,14 @@ class TestThresholds:
         m = rd.threshold_m(unit(), 5.0)
         assert m == pytest.approx(2.6, abs=1e-8)
 
+    @pytest.mark.parametrize("fn", [rd.threshold_m, rd.threshold_g])
+    def test_other_ratio_of_a_non_constant_weight_raises(self, fn):
+        # only a constant weight answers ratios other than its interval's
+        with pytest.raises(ValueError, match=r"^threshold ratio must match "
+                           r"the weight's interval ratio \(except for "
+                           r"constant weights\)$"):
+            fn(Weight.power(1.0, 1.0, 2.0), 3.0)
+
     def test_ratio_just_off_the_weight_interval(self):
         # a ratio 1.5e-5 above the weight's own must not be answered on [1, 2]
         rho = 2.000015

@@ -57,12 +57,62 @@ def test_domain_is_enforced():
 
 def test_positivity_validation():
     s = np.array([1.0, 1.5, 2.0])
-    bad = Weight.tabulated(s, np.array([1.0, -0.5, 2.0]))
-    violation = bad.validate()
-    assert violation is not None
-    assert violation.value <= 0.0
+    with pytest.raises(WeightError, match=r"value -0.5 at s = 1.5$"):
+        Weight.tabulated(s, np.array([1.0, -0.5, 2.0]))
     good = Weight.tabulated(s, np.array([1.0, 0.5, 2.0]))
     assert good.validate() is None
+
+
+@pytest.mark.parametrize("make, message", [
+    pytest.param(lambda: Weight.constant(0.0, 1.0, 2.0),
+                 r"constant weight must be positive on \[1, 2\]: "
+                 r"non-positive value 0 at s = 1$", id="constant-zero"),
+    pytest.param(lambda: Weight.constant(-3.0, 1.0, 2.0),
+                 r"value -3 at s = 1$", id="constant-negative"),
+    pytest.param(lambda: Weight.constant(float("nan"), 1.0, 2.0),
+                 r"value nan at s = 1$", id="constant-nan"),
+    pytest.param(lambda: Weight.power(1.0, 1.0, 2.0, value=0.0),
+                 r"value 0 at s = 1$", id="power-zero-prefactor"),
+    pytest.param(lambda: Weight.power(-2.0, 1.0, 2.0, value=-2.0),
+                 r"power weight must be positive on \[1, 2\]: "
+                 r"non-positive value -2 at s = 1$",
+                 id="power-negative-prefactor"),
+    # 50**-400 underflows to 0 at the outer end only
+    pytest.param(lambda: Weight.power(-400.0, 1.0, 50.0),
+                 r"value 0 at s = 50$", id="power-end-underflows"),
+    pytest.param(lambda: Weight.tabulated([1.0, 2.0, 3.0], [1.0, 2.0, -1.0]),
+                 r"tabulated weight must be positive on \[1, 3\]: "
+                 r"non-positive value -1 at s = 3$", id="tabulated-sample"),
+    # the cut interpolates the end value 2 - 0.75 * 4 at R = 2.75
+    pytest.param(lambda: Weight.tabulated([1.0, 2.0, 3.0], [1.0, 2.0, -2.0],
+                                          R=2.75),
+                 r"value -1 at s = 2.75$", id="tabulated-cut-end"),
+    pytest.param(lambda: Weight.power(1.0, 1.0, 2.0).scale(-1.0),
+                 r"value -1 at s = 1$", id="negative-scale"),
+    pytest.param(lambda: Weight.constant(1.0, 2.0, 2.0), r"need 0 < r < R",
+                 id="empty-interval"),
+])
+def test_construction_rejects_non_positive_weights(make, message):
+    with pytest.raises(WeightError, match=message):
+        make()
+
+
+def test_sample_dropped_by_the_cut_is_accepted():
+    # the negative sample at s = 1 lies outside [2, 4]
+    w = Weight.tabulated([1.0, 2.0, 3.0, 4.0], [-1.0, 1.0, 1.0, 2.0],
+                         r=2.0, R=4.0)
+    np.testing.assert_array_equal(w.abscissae, [2.0, 3.0, 4.0])
+    assert w.validate() is None
+
+
+@pytest.mark.parametrize("s, lam, message", [
+    ([1.0], [1.0], "length >= 2"), ([1.0, 2.0], [1.0, 2.0, 3.0], "length >= 2"),
+    ([[1.0, 2.0]], [[1.0, 2.0]], "length >= 2"),
+    ([1.0, 1.0, 2.0], [1.0, 1.0, 1.0], "strictly increasing"),
+    ([1.0, 3.0, 2.0], [1.0, 1.0, 1.0], "strictly increasing")])
+def test_tabulated_shape_and_order_errors(s, lam, message):
+    with pytest.raises(WeightError, match=message):
+        Weight.tabulated(s, lam)
 
 
 def test_scale():
@@ -122,3 +172,67 @@ def test_scaling_commutes_with_evaluation(exponent, c):
     w = Weight.power(exponent, 1.0, 2.0)
     s = np.linspace(1.0, 2.0, 17)
     np.testing.assert_allclose(w.scale(c)(s), c * w(s), rtol=1e-13)
+
+
+def _oracle_grid(r, R, n=4096):
+    s = np.exp(np.linspace(np.log(r), np.log(R), n))
+    s[0], s[-1] = r, R
+    return s
+
+
+def tabulated_violates(s, lam, r, R):
+    """The former positivity check of a tabulated weight, the oracle for
+    its construction: the samples cut to [r, R] as `Weight.tabulated`
+    cuts them, then their interpolant on a 4096-node log-uniform grid."""
+    at_r, at_R = np.isclose(s[0], r), np.isclose(s[-1], R)
+    if not (at_r and at_R):
+        a, b = (s[0] if at_r else r), (s[-1] if at_R else R)
+        cut = np.r_[a, s[(s > a) & (s < b)], b]
+        s, lam = cut, np.interp(cut, s, lam)
+    return bool(np.any(lam <= 0)
+                or np.any(np.interp(_oracle_grid(r, R), s, lam) <= 0))
+
+
+def power_violates(exponent, r, R, value):
+    """The former check of value * s**exponent on the 4096-node grid."""
+    return bool(np.any(value * _oracle_grid(r, R) ** exponent <= 0))
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_tabulated_construction_matches_grid_oracle(data):
+    s = np.sort(data.draw(st.lists(st.floats(1.0, 10.0), min_size=2,
+                                   max_size=8, unique=True)))
+    lam = np.array(data.draw(st.lists(st.floats(-0.3, 3.0), min_size=len(s),
+                                      max_size=len(s))))
+    if data.draw(st.booleans()):
+        r = R = None
+        oracle = tabulated_violates(s, lam, s[0], s[-1])
+    else:   # an interval inside the samples, whose cut may drop some
+        span = s[-1] - s[0]
+        r = s[0] + span * data.draw(st.floats(0.0, 0.45))
+        R = s[0] + span * data.draw(st.floats(0.55, 1.0))
+        oracle = tabulated_violates(s, lam, r, R)
+    if oracle:
+        with pytest.raises(WeightError, match="must be positive"):
+            Weight.tabulated(s, lam, r=r, R=R)
+    else:
+        assert Weight.tabulated(s, lam, r=r, R=R).validate() is None
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_power_construction_matches_grid_oracle(data):
+    r, R = sorted(data.draw(st.lists(st.floats(1.0, 50.0), min_size=2,
+                                     max_size=2, unique=True)))
+    # besides uniform draws, exponents where R**p nears the underflow to 0
+    exponent = data.draw(st.one_of(
+        st.floats(-400.0, 400.0),
+        st.floats(700.0, 760.0).map(lambda c: max(-c / np.log(R), -400.0))))
+    value = data.draw(st.one_of(st.floats(1e-3, 1e3), st.floats(-10.0, -1e-3)))
+    with np.errstate(over="ignore"):    # s**400 overflows to inf > 0
+        if power_violates(exponent, r, R, value):
+            with pytest.raises(WeightError, match="must be positive"):
+                Weight.power(exponent, r, R, value=value)
+        else:
+            assert Weight.power(exponent, r, R, value=value).validate() is None
