@@ -296,6 +296,8 @@ def cmd_direct(cfg, out):
         "polar_minimized": prep.total,
         "polar_gap": prep.total - sol.energy,
         "polar_iterations": prep.iterations,
+        "polar_converged": prep.converged,
+        "radial_solves": rrep.iterations,
         "negative_jacobian_fraction": prep.negative_jacobian_fraction,
     })
     # every max(1, n // 64)-th node per axis, row-major in (i, j)

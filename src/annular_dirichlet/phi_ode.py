@@ -51,14 +51,6 @@ class PhiSolution:
     def t(self):              # log radii
         return self.grid.t
 
-    @property
-    def r(self):
-        return float(self.s[0])
-
-    @property
-    def R(self):
-        return float(self.s[-1])
-
 
 @dataclass
 class RadialProfile:
@@ -267,7 +259,7 @@ def _refine_root(g: OdeGrid, y, i):
     y0, y1 = float(y[i]), float(y[i + 1])
     u = y0 / (y0 - y1)
     h = t_hi - t_lo
-    l0, l1 = float(g.w(g.s[i])), float(g.w(g.s[i + 1]))
+    l0, l1 = float(g.lam[i]), float(g.lam[i + 1])
     d0, d1 = h * (l0 - y0 * y0 / l0), h * (l1 - y1 * y1 / l1)
     cubic = [2 * y0 + d0 - 2 * y1 + d1, -3 * y0 - 2 * d0 + 3 * y1 - d1,
              d0, y0]

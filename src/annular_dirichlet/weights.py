@@ -3,8 +3,9 @@
 Three concrete families are supported: constant weights, power weights
 ``s**p`` and tabulated weights with piecewise-linear interpolation.  A
 weight is positive on its interval by construction: the constructor runs
-the exact check `Weight.validate` and raises `WeightError` otherwise, so
-no caller checks again.
+`Weight.validate`, which raises `WeightError` otherwise, so no caller
+checks again.  Positivity and monotonicity are decided exactly on a few
+knots (`Weight._knots`).
 """
 
 from __future__ import annotations
@@ -13,19 +14,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-VALIDATION_GRID = 4096
 MONOTONE_TOL = 1e-12
 
 
 class WeightError(ValueError):
     """Invalid weight specification or evaluation outside [r, R]."""
-
-
-@dataclass(frozen=True)
-class Violation:
-    where: float
-    value: float
-    reason: str
 
 
 @dataclass(frozen=True)
@@ -47,11 +40,7 @@ class Weight:
 
     def __post_init__(self):
         _check_interval(self.r, self.R)
-        bad = self.validate()
-        if bad is not None:
-            raise WeightError(f"{self.kind} weight must be positive on "
-                              f"[{self.r:g}, {self.R:g}]: {bad.reason} "
-                              f"{bad.value:g} at s = {bad.where:g}")
+        self.validate()
 
     @staticmethod
     def constant(value, r, R):
@@ -116,38 +105,31 @@ class Weight:
         return Weight(self.kind, self.r, self.R, value=c * self.value,
                       exponent=self.exponent)
 
-    def max_value(self):
-        return float(np.max(self(self._grid())))
-
-    def min_value(self):
-        return float(np.min(self(self._grid())))
-
-    def _grid(self):
-        s = np.exp(np.linspace(np.log(self.r), np.log(self.R),
-                               VALIDATION_GRID))
-        s[0], s[-1] = self.r, self.R
-        return s
+    def _knots(self):
+        """(s, lambda) on the radii that decide positivity and
+        monotonicity on [r, R]: the samples kept there (a linear
+        interpolant has its extremes and its drops at its knots), or the
+        two ends of a constant or power weight (value * s**p is monotone)."""
+        if self.kind == "tabulated":
+            return self.abscissae, self.ordinates
+        s = np.array([self.r, self.R])
+        return s, self._values(s)
 
     def validate(self):
-        """Return None if the weight is positive on [r, R], else the first
-        Violation.  Exact: a linear interpolant of positive samples is
-        positive, and value * s**p is monotone in s, so the samples kept on
-        [r, R] (tabulated) or the two ends (constant, power) decide.  NaN
-        is not positive."""
-        if self.kind == "tabulated":
-            s, lam = self.abscissae, self.ordinates
-        else:
-            s = np.array([self.r, self.R])
-            lam = self._values(s)
-        if lam.min() > 0:       # False when some value is NaN
-            return None
-        i = np.flatnonzero(~(lam > 0))[0]
-        return Violation(float(s[i]), float(lam[i]), "non-positive value")
+        """Raise `WeightError` unless the weight is positive on [r, R].
+        Exact on `_knots`; NaN is not positive."""
+        s, lam = self._knots()
+        if not lam.min() > 0:       # also when some value is NaN
+            i = np.flatnonzero(~(lam > 0))[0]
+            raise WeightError(f"{self.kind} weight must be positive on "
+                              f"[{self.r:g}, {self.R:g}]: non-positive value "
+                              f"{lam[i]:g} at s = {s[i]:g}")
 
     def is_nondecreasing(self):
-        vals = np.asarray(self(self._grid()))
-        running_max = np.maximum.accumulate(vals)
-        return bool(np.all(vals >= running_max - MONOTONE_TOL))
+        """Whether lambda stays within MONOTONE_TOL of its running maximum
+        on [r, R].  Exact on `_knots`."""
+        lam = self._knots()[1]
+        return bool(np.all(lam >= np.maximum.accumulate(lam) - MONOTONE_TOL))
 
 
 def _check_interval(r, R):

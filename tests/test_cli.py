@@ -249,6 +249,9 @@ class TestDirectCommand:
         exact = 15 * np.pi / 8
         assert d["closed_form"] == pytest.approx(exact, rel=1e-6)
         assert d["polar_minimized"] >= exact * (1 - 5e-3)
+        assert d["polar_converged"] is True
+        # the unit pair does not collapse: one pinned banded solve
+        assert d["radial_solves"] == 1
         assert (tmp_path / "polar_map.csv").exists()
 
     def test_fixed_outer_mode_flag(self, tmp_path):

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from annular_dirichlet.weights import Weight, WeightError, weight_from_config
+from annular_dirichlet.weights import (MONOTONE_TOL, Weight, WeightError,
+                                       weight_from_config)
 
 
 def test_constant_evaluation():
@@ -122,16 +123,20 @@ def test_scale():
         w.scale(-1.0)
 
 
-def test_extrema():
-    w = Weight.power(1.0, 1.0, 2.0)
-    assert w.min_value() == pytest.approx(1.0, rel=1e-6)
-    assert w.max_value() == pytest.approx(2.0, rel=1e-6)
-
-
 def test_is_nondecreasing():
     assert Weight.power(1.0, 1.0, 2.0).is_nondecreasing()
     assert Weight.constant(2.0, 1.0, 2.0).is_nondecreasing()
     assert not Weight.power(-1.0, 1.0, 2.0).is_nondecreasing()
+
+
+def test_dip_between_grid_nodes_is_not_nondecreasing():
+    # lambda = s on 8191 log-uniform samples over [1, 2], with a 1e-3 dip
+    # at an odd sample, which no node of a 4096-node log-uniform grid hits
+    s = np.exp(np.linspace(0.0, np.log(2.0), 8191))
+    s[0], s[-1] = 1.0, 2.0
+    lam = s.copy()
+    lam[1001] -= 1e-3
+    assert not Weight.tabulated(s, lam).is_nondecreasing()
 
 
 def test_weight_from_config():
@@ -193,6 +198,19 @@ def tabulated_violates(s, lam, r, R):
                 or np.any(np.interp(_oracle_grid(r, R), s, lam) <= 0))
 
 
+def sampled_nondecreasing(w):
+    """The former monotonicity check, the oracle for `is_nondecreasing`:
+    w on a 4096-node log-uniform grid against its running maximum."""
+    vals = w(_oracle_grid(w.r, w.R))
+    return bool(np.all(vals >= np.maximum.accumulate(vals) - MONOTONE_TOL))
+
+
+def largest_drop(w):
+    """How far w falls below its running maximum on the oracle's grid."""
+    vals = w(_oracle_grid(w.r, w.R))
+    return float(np.max(np.maximum.accumulate(vals) - vals))
+
+
 def power_violates(exponent, r, R, value):
     """The former check of value * s**exponent on the 4096-node grid."""
     return bool(np.any(value * _oracle_grid(r, R) ** exponent <= 0))
@@ -236,3 +254,32 @@ def test_power_construction_matches_grid_oracle(data):
                 Weight.power(exponent, r, R, value=value)
         else:
             assert Weight.power(exponent, r, R, value=value).validate() is None
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_power_monotonicity_matches_grid_oracle(data):
+    r, R = sorted(data.draw(st.lists(st.floats(0.5, 50.0), min_size=2,
+                                     max_size=2, unique=True)))
+    c = data.draw(st.floats(0.1, 10.0))
+    if data.draw(st.booleans()):
+        w = Weight.constant(c, r, R)
+    else:
+        w = Weight.power(data.draw(st.floats(-3.0, 3.0)), r, R, value=c)
+    # where the drop is near the tolerance, rounding decides either check
+    drop = largest_drop(w)
+    assume(not MONOTONE_TOL / 10 <= drop <= 10 * MONOTONE_TOL)
+    assert w.is_nondecreasing() == sampled_nondecreasing(w)
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_tabulated_monotonicity_catches_every_sampled_drop(data):
+    # sampling the interpolant can miss a drop at a knot, never add one
+    s = np.sort(data.draw(st.lists(st.floats(1.0, 10.0), min_size=2,
+                                   max_size=8, unique=True)))
+    lam = np.array(data.draw(st.lists(st.floats(0.1, 3.0), min_size=len(s),
+                                      max_size=len(s))))
+    w = Weight.tabulated(s, lam)
+    if not sampled_nondecreasing(w):
+        assert not w.is_nondecreasing()
