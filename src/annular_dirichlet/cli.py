@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import sys
 from functools import partial
 from pathlib import Path
@@ -21,7 +20,7 @@ import numpy as np
 from . import discrete as dc
 from . import lagrangians as lg
 from . import radial as rd
-from .weights import WeightError, weight_from_config
+from .weights import WeightError, _is_finite_number, weight_from_config
 
 DEFAULTS = {
     "numerics": {
@@ -45,32 +44,39 @@ class ConfigError(ValueError):
 
 def parse_config(text_or_dict):
     """Parse and validate a JSON configuration document."""
-    if isinstance(text_or_dict, str):
+    raw = text_or_dict
+    if isinstance(raw, str):
         try:
-            raw = json.loads(text_or_dict)
+            raw = json.loads(raw)
         except json.JSONDecodeError as e:
             raise ConfigError(f"config is not valid JSON: {e}") from e
-    else:
-        raw = dict(text_or_dict)
+    _need(isinstance(raw, dict), "config", "a JSON object", raw)
     unknown = set(raw) - KNOWN_TOP
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    cfg = {
-        "numerics": {**DEFAULTS["numerics"], **raw.get("numerics", {})},
-        "mode": {**DEFAULTS["mode"], **raw.get("mode", {})},
-        "output": {**DEFAULTS["output"], **raw.get("output", {})},
-    }
-    for section in ("numerics", "mode", "output"):
-        extra = set(cfg[section]) - set(DEFAULTS[section])
+    cfg = {}
+    for section, defaults in DEFAULTS.items():
+        given = raw.get(section, {})
+        _need(isinstance(given, dict), section, "a JSON object", given)
+        extra = set(given) - set(defaults)
         if extra:
             raise ConfigError(f"unknown {section} keys: {sorted(extra)}")
+        cfg[section] = {**defaults, **given}
     _check_numerics(cfg["numerics"])
+    fixed, out = cfg["mode"]["fixed_outer_boundary"], cfg["output"]["directory"]
+    _need(isinstance(fixed, bool), "mode.fixed_outer_boundary",
+          "true or false", fixed)
+    _need(isinstance(out, str), "output.directory", "a string", out)
 
     if "pair" in raw:
         p = raw["pair"]
+        _need(isinstance(p, dict), "pair", "a JSON object", p)
         missing = {"r", "R", "r_star", "R_star"} - set(p)
         if missing:
             raise ConfigError(f"pair is missing radii: {sorted(missing)}")
+        for key in ("r", "R", "r_star", "R_star"):
+            _need(_is_finite_number(p[key]), f"pair.{key}", "a finite number",
+                  p[key])
         if not (0 < p["r"] < p["R"]):
             raise ConfigError("pair: domain radii ordering (need 0 < r < R)")
         if not (0 < p["r_star"] < p["R_star"]):
@@ -78,9 +84,14 @@ def parse_config(text_or_dict):
                               "(need 0 < r_star < R_star)")
         cfg["pair"] = rd.AnnulusPair(p["r"], p["R"], p["r_star"], p["R_star"])
     if "rho" in raw:
+        _need(_is_finite_number(raw["rho"]), "rho", "a finite number",
+              raw["rho"])
         cfg["rho_values"] = [float(raw["rho"])]
     if "rho_values" in raw:
-        cfg["rho_values"] = [float(x) for x in raw["rho_values"]]
+        rhos = raw["rho_values"]
+        _need(isinstance(rhos, list) and all(map(_is_finite_number, rhos)),
+              "rho_values", "a list of finite numbers", rhos)
+        cfg["rho_values"] = [float(x) for x in rhos]
     if "weight" not in raw:
         raise ConfigError("config is missing the weight spec")
     cfg["weight_spec"] = raw["weight"]
@@ -107,27 +118,29 @@ def parse_config(text_or_dict):
     return cfg
 
 
+def _need(ok, key, what, value):
+    """Raise ConfigError naming the key unless ok."""
+    if not ok:
+        raise ConfigError(f"{key} must be {what}, got {value!r}")
+
+
 def _is_int(x):
     return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _check_numerics(num):
-    if not _is_int(num["seed"]):
-        raise ConfigError("numerics.seed must be an explicit integer")
+    _need(_is_int(num["seed"]), "numerics.seed", "an explicit integer",
+          num["seed"])
     for key in ("ode_grid", "radial_grid", "max_iter"):
-        if not (_is_int(num[key]) and num[key] > 0):
-            raise ConfigError(f"numerics.{key} must be a positive integer, "
-                              f"got {num[key]!r}")
+        _need(_is_int(num[key]) and num[key] > 0, f"numerics.{key}",
+              "a positive integer", num[key])
     grid = num["polar_grid"]
-    if not (isinstance(grid, list) and len(grid) == 2
-            and all(_is_int(n) and n >= 3 for n in grid)):
-        raise ConfigError("numerics.polar_grid must be two integers >= 3, "
-                          f"got {grid!r}")
+    _need(isinstance(grid, list) and len(grid) == 2
+          and all(_is_int(n) and n >= 3 for n in grid),
+          "numerics.polar_grid", "two integers >= 3", grid)
     p = num["perturbation"]
-    if not (isinstance(p, (int, float)) and not isinstance(p, bool)
-            and math.isfinite(p) and p >= 0):
-        raise ConfigError("numerics.perturbation must be a finite number "
-                          f">= 0, got {p!r}")
+    _need(_is_finite_number(p) and p >= 0, "numerics.perturbation",
+          "a finite number >= 0", p)
 
 
 def with_overrides(raw, seed=None, grid=None, mode=None):

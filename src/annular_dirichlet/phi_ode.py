@@ -120,24 +120,12 @@ class OdeGrid:
 
 
 def _simpson(y, dx):
-    """Simpson's rule on uniform samples, with the operations of
-    scipy.integrate.simpson(y, dx=dx) in the same order, so the two agree
-    bit for bit: composite Simpson over an odd point count; over an even
-    count, composite Simpson on all but the last point plus Cartwright's
-    last-interval term (equal spacings h0 = h1 = dx); the trapezoid for
-    two points."""
+    """Composite Simpson's rule on an odd count of at least 3 uniform
+    samples."""
     n = len(y)
-    if n == 2:
-        return 0.5 * dx * (y[-1] + y[-2])
-    m = n - 1 if n % 2 == 0 else n
-    out = np.sum(y[0:m - 2:2] + 4.0 * y[1:m - 1:2] + y[2:m:2]) * (dx / 3.0)
-    if n % 2 == 0:
-        h = np.float64(dx)
-        alpha = (2 * h ** 2 + 3 * h * h) / (6 * (h + h))
-        beta = (h ** 2 + 3.0 * h * h) / (6 * h)
-        eta = h ** 3 / (6 * h * (h + h))
-        out += alpha * y[-1] + beta * y[-2] - eta * y[-3]
-    return out
+    if n < 3 or n % 2 == 0:
+        raise ValueError(f"Simpson's rule needs an odd count >= 3, got {n}")
+    return np.sum(y[0:n - 2:2] + 4.0 * y[1:n - 1:2] + y[2:n:2]) * (dx / 3.0)
 
 
 def _fundamental_columns(lam, lam_half, h):
@@ -175,7 +163,9 @@ def solve_phi_tilde(w: Weight, r, R, phi0, n=DEFAULT_N,
     radius r0 (r when phi0 >= 0, R when phi_tilde stays negative)."""
     g = grid if grid is not None else OdeGrid(w, r, R, n)
     y = g.integrate(phi0)
-    residual = _ode_residual(g, phi0)
+    h0, h1, q0, q1 = g.columns
+    H, q = h0 + phi0 * h1, q0 + phi0 * q1
+    residual = _ode_residual(g, H, q)
     if residual > RESIDUAL_TOL:
         raise AccuracyError(
             f"ODE residual {residual:.3e} above {RESIDUAL_TOL:.1e}")
@@ -189,17 +179,15 @@ def solve_phi_tilde(w: Weight, r, R, phi0, n=DEFAULT_N,
     elif y[-1] < 0:
         r0 = g.s[-1]
     else:
-        r0 = _refine_root(g, y, int(np.searchsorted(y >= 0, True)) - 1)
+        r0 = np.exp(_kink(g, H, q, y, int(np.searchsorted(y >= 0, True)))[0])
     return PhiSolution(grid=g, phi_tilde=y, phi=np.maximum(0.0, y),
                        phi0=float(phi0), r0=float(r0), residual=residual)
 
 
-def _ode_residual(g: OdeGrid, phi0):
+def _ode_residual(g: OdeGrid, H, q):
     """Largest finite-difference defect of y = (H, q) = F (1, phi0) in
     H_t = q/lambda and q_t/lambda = H, relative to max(|H|, |H_t|) at each
     node.  The pair stays smooth where phi_tilde = q/H is steep or blows up."""
-    h0, h1, q0, q1 = g.columns
-    H, q = h0 + phi0 * h1, q0 + phi0 * q1
     Ht = q / g.lam
     defect = np.maximum(np.abs(fd_derivative(H, g.h) - Ht),
                         np.abs(fd_derivative(q, g.h) / g.lam - H))
@@ -248,26 +236,28 @@ def cumulative_integral(f, h):
     return out
 
 
-def _refine_root(g: OdeGrid, y, i):
-    """Root of phi_tilde inside the bracketing cell [t_i, t_{i+1}].
-
-    The root of the cubic Hermite interpolant of phi_tilde, whose end
-    slopes come from the ODE itself; its error in the cell is O(h^4) for
-    a smooth weight.
-    """
-    t_lo, t_hi = g.t[i], g.t[i + 1]
-    y0, y1 = float(y[i]), float(y[i + 1])
-    u = y0 / (y0 - y1)
-    h = t_hi - t_lo
-    l0, l1 = float(g.lam[i]), float(g.lam[i + 1])
-    d0, d1 = h * (l0 - y0 * y0 / l0), h * (l1 - y1 * y1 / l1)
-    cubic = [2 * y0 + d0 - 2 * y1 + d1, -3 * y0 - 2 * d0 + 3 * y1 - d1,
-             d0, y0]
+def _kink(g: OdeGrid, H, q, y, k):
+    """(t0, H(t0)) at the kink of the clamped path, in the cell
+    [t_{k-1}, t_k] where phi_tilde = q/H turns nonnegative: t0 is the root
+    of the cubic Hermite interpolant of phi_tilde (end slopes from the ODE)
+    and H(t0) that of H (end slopes q/lambda), both O(h^4) for a smooth
+    weight.  H is least at t0, where q = 0."""
+    cell = slice(k - 1, k + 1)
+    t, lam, y = g.t[cell], g.lam[cell], y[cell]
+    h = t[1] - t[0]
     # the cubic is nearly linear on the cell: its root there is the one
     # next to the linear guess, the other two lie O(1/h) away
-    roots = np.roots(cubic)
-    u = float(np.clip(roots[np.argmin(np.abs(roots - u))].real, 0.0, 1.0))
-    return np.exp(t_lo + u * (t_hi - t_lo))
+    guess = y[0] / (y[0] - y[1])
+    roots = np.roots(_hermite(y, h * (lam - y * y / lam)))
+    u = float(np.clip(roots[np.argmin(np.abs(roots - guess))].real, 0.0, 1.0))
+    H_u = np.polyval(_hermite(H[cell], h * q[cell] / lam), u)
+    return t[0] + u * h, float(H_u)
+
+
+def _hermite(v, d):
+    """The cubic on [0, 1] with end values v, slopes d, highest power first."""
+    (v0, v1), (d0, d1) = v, d
+    return [2 * v0 + d0 - 2 * v1 + d1, -3 * v0 - 2 * d0 + 3 * v1 - d1, d0, v0]
 
 
 def recover_H(p: PhiSolution, w: Weight, r_star):

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .phi_ode import (DEFAULT_N, AccuracyError, OdeGrid, PhiSolution,
-                      RadialProfile, _simpson, fd_derivative, recover_H,
-                      solve_phi_tilde)
+                      RadialProfile, _kink, _simpson, fd_derivative,
+                      recover_H, solve_phi_tilde)
 from .weights import Weight
 
 MODULUS_TOL = 1e-10
@@ -40,10 +40,10 @@ class AnnulusPair:
     R_star: float
 
     def __post_init__(self):
-        if not (0 < self.r < self.R):
-            raise ValueError(f"domain radii must satisfy 0 < r < R: {self}")
-        if not (0 < self.r_star < self.R_star):
-            raise ValueError(f"target radii must satisfy 0 < r* < R*: {self}")
+        if not (0 < self.r < self.R < np.inf):
+            raise ValueError(f"need finite domain radii 0 < r < R: {self}")
+        if not (0 < self.r_star < self.R_star < np.inf):
+            raise ValueError(f"need finite target radii 0 < r* < R*: {self}")
 
     @property
     def mod_domain(self):
@@ -80,7 +80,7 @@ class CertificateReport:
     margin_angular: float      # lambda/s - tau_dot
     margin_radial: float       # s*lambda - c/Hdot
     identity_residual: float   # |(lambda/s - tau_dot)(s lambda - c/Hdot) - tau^2|
-    obs2_residual: float       # |d/ds(H Phi) - lambda H / s|
+    obs2_residual: float       # FixedBoundaryCoeffs.residual
 
 
 @dataclass
@@ -152,8 +152,8 @@ def _threshold_grid(w: Weight, rho, n):
     """Grid for a threshold at ratio rho.  Thresholds depend only on the
     ratio: the weight's own interval serves when its ratio is rho; a
     constant weight also answers any other ratio, on [1, rho]."""
-    if rho <= 1:
-        raise ValueError(f"need rho > 1, got {rho}")
+    if not 1 < rho < np.inf:
+        raise ValueError(f"need 1 < rho < inf, got {rho}")
     r, R = w.r, w.R
     if not abs(R / r - rho) <= RATIO_RTOL * abs(rho):
         if w.kind != "constant":
@@ -197,12 +197,12 @@ def _threshold_g(g: OdeGrid):
     the nodes with b > 0 (b = 1 at the left end).
 
     phi_tilde/lambda = H_t/H and q = lambda H_t increases, so H has a
-    single minimum, where the clamped path has its kink.  From there to
-    the first node k with phi_tilde >= 0 the modulus is ln(H_k / min H),
-    with min H from the cubic Hermite interpolant of H on that cell; from
-    node k on, Simpson's rule integrates a smooth phi_tilde/lambda.  (A
-    ratio of H over the whole interval would carry the accumulated
-    rounding of the fundamental matrix, which phi_tilde = q/H cancels.)
+    single minimum, where the clamped path has its kink (`_kink`).  From
+    there to a node j >= k, k the first node with phi_tilde >= 0, the
+    modulus is ln(H_j / min H); from node j on, Simpson's rule integrates
+    a smooth phi_tilde/lambda on an odd node count.  (A ratio of H over
+    the whole interval would carry the accumulated rounding of the
+    fundamental matrix, which phi_tilde = q/H cancels.)
     """
     h0, h1, q0, q1 = g.columns
     a, b = q0 - g.lam * h0, q1 - g.lam * h1
@@ -216,22 +216,10 @@ def _threshold_g(g: OdeGrid):
             f"{np.max(np.abs(h1)):.3g}")
     y = g.integrate(phi_g)
     k = int(np.searchsorted(y >= 0, True))
-    ratio = 1.0                     # H_k / min H; H(r) = 1 is least if k = 0
-    if k > 0:
-        cell = slice(k - 1, k + 1)
-        H = H[cell]
-        dH = g.h * (q0[cell] + phi_g * q1[cell]) / g.lam[cell]   # per cell
-        ratio = H[1] / _cell_minimum(H[0], H[1], dH[0], dH[1])
-    return float(ratio * np.exp(_simpson(y[k:] / g.lam[k:], g.h)))
-
-
-def _cell_minimum(y0, y1, d0, d1):
-    """Least value on [0, 1] of the cubic with end values y0, y1 and end
-    slopes d0, d1 (per unit cell)."""
-    c2, c3 = 3 * (y1 - y0) - 2 * d0 - d1, 2 * (y0 - y1) + d0 + d1
-    u = np.roots([3 * c3, 2 * c2, d0])
-    u = u[(u.imag == 0) & (u.real >= 0) & (u.real <= 1)].real
-    return float(min(y0, y1, *(y0 + u * (d0 + u * (c2 + u * c3)))))
+    j = k + (len(y) - k + 1) % 2    # k + 1 if the count from k is even
+    # H_j / min H; H(r) = 1 is least if k = 0
+    ratio = H[j] / _kink(g, H, q0 + phi_g * q1, y, k)[1] if k > 0 else 1.0
+    return float(ratio * np.exp(_simpson(y[j:] / g.lam[j:], g.h)))
 
 
 def energy_closed_form(sol: RadialSolution, w: Weight):
@@ -275,7 +263,6 @@ def claim1_certificate(sol: RadialSolution, w: Weight):
     lam = np.asarray(w(s), dtype=float)
     phi = sol.phi.phi
     H = sol.profile.H
-    Hdot = sol.profile.Hdot
     c = float(H[0] * phi[0])
     tau = phi - c / H
 
@@ -294,8 +281,6 @@ def claim1_certificate(sol: RadialSolution, w: Weight):
         rad = s * lam * (1.0 - c / (H * phi))
 
     ident = np.abs(ang[i0:] * rad[i0:] - tau[i0:] ** 2)
-    hphi_dot = fd_derivative((H * phi)[i0:], h) / s[i0:]
-    obs2 = np.abs(hphi_dot - (lam * H / s)[i0:])
 
     report = CertificateReport(
         c=c,
@@ -305,7 +290,7 @@ def claim1_certificate(sol: RadialSolution, w: Weight):
         margin_angular=float(np.min(ang[i0:])),
         margin_radial=float(np.min(rad[i0:])),
         identity_residual=float(np.max(ident)),
-        obs2_residual=float(np.max(obs2)),
+        obs2_residual=fixed_boundary_coefficients(sol, w).residual,
     )
     margins = [report.margin_tau, report.margin_tau_dot,
                report.margin_angular, report.margin_radial]

@@ -27,7 +27,7 @@ class Weight:
 
     Use the ``constant``, ``power`` and ``tabulated`` constructors rather
     than instantiating directly.  Construction raises `WeightError` unless
-    0 < r < R and the weight is positive on [r, R].
+    0 < r < R < inf and the weight is positive on [r, R].
     """
 
     kind: str
@@ -39,7 +39,9 @@ class Weight:
     ordinates: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        _check_interval(self.r, self.R)
+        if not (0 < self.r < self.R < np.inf):
+            raise WeightError(
+                f"need 0 < r < R < inf, got r={self.r}, R={self.R}")
         self.validate()
 
     @staticmethod
@@ -132,9 +134,10 @@ class Weight:
         return bool(np.all(lam >= np.maximum.accumulate(lam) - MONOTONE_TOL))
 
 
-def _check_interval(r, R):
-    if not (0 < r < R):
-        raise WeightError(f"need 0 < r < R, got r={r}, R={R}")
+def _is_finite_number(x):
+    """Whether x is a finite int or float (a bool is not a number)."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) \
+        and bool(np.isfinite(x))
 
 
 def weight_from_config(spec, r, R):
@@ -145,18 +148,26 @@ def weight_from_config(spec, r, R):
     known = {"constant": {"kind", "value"},
              "power": {"kind", "exponent", "value"},
              "tabulated": {"kind", "samples"}}
-    if kind not in known:
-        raise WeightError(f"unknown weight kind: {kind!r}")
+    if not isinstance(kind, str) or kind not in known:
+        raise WeightError(f"weight.kind must be one of {sorted(known)}, "
+                          f"got {kind!r}")
     extra = set(spec) - known[kind]
     if extra:
         raise WeightError(f"unknown weight keys: {sorted(extra)}")
+    for key in sorted(known[kind] & {"value", "exponent"}):
+        if not _is_finite_number(spec.get(key, 1.0)):
+            raise WeightError(f"weight.{key} must be a finite number, "
+                              f"got {spec[key]!r}")
     if kind == "constant":
         return Weight.constant(spec.get("value", 1.0), r, R)
     if kind == "power":
         return Weight.power(spec.get("exponent", 1.0), r, R,
                             value=spec.get("value", 1.0))
-    samples = spec.get("samples")
-    if not samples:
-        raise WeightError("tabulated weight needs a 'samples' list")
-    pts = np.asarray(samples, dtype=float)
+    try:
+        pts = np.asarray(spec.get("samples"), dtype=float)
+    except (TypeError, ValueError):
+        pts = np.empty(0)
+    if pts.ndim != 2 or pts.shape[1] != 2 or not np.all(np.isfinite(pts)):
+        raise WeightError("weight.samples must be a list of finite "
+                          "[s, lambda] pairs")
     return Weight.tabulated(pts[:, 0], pts[:, 1], r=r, R=R)

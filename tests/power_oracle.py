@@ -1,5 +1,5 @@
-"""Closed-form thresholds and case-1 initial values for the power
-weights lambda = c s^p.
+"""Closed-form thresholds, case-1 initial values and case-2 collapse data
+for the power weights lambda = c s^p.
 
 In t = ln s the radial Euler-Lagrange equation (lambda H_t)_t = lambda H
 has constant coefficients, H'' + p H' - H = 0, with the characteristic
@@ -41,6 +41,28 @@ def initial_value(p, rho, ratio):
     T = np.log(rho)
     A = (ratio - np.exp(am * T)) / (np.exp(ap * T) - np.exp(am * T))
     return float(A * ap + (1.0 - A) * am)
+
+
+def collapse(p, rho, ratio):
+    """(phi0 for c = 1, r0) of the case-2 minimizer A(1, rho) -> A*(1, ratio),
+    1 < ratio < m (phi0 scales with c, r0 does not).  The profile is flat
+    up to t0 = ln r0 and H = u(t - t0) from there, with u the solution from
+    u(0) = 1, u'(0) = 0 and u(T - t0) = ratio; the unclamped path is the
+    same solution continued back to t = 0, so phi0 = c u'(-t0)/u(-t0).
+    u increases on (0, T) from 1 to m, so T - t0 is found by bisection."""
+    H, dH, _ = _solution(p, 0.0, 1.0, 0.0)
+    T = np.log(rho)
+    lo, hi = 0.0, T
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if H(mid) < ratio:
+            lo = mid
+        else:
+            hi = mid
+    t0 = T - 0.5 * (lo + hi)
+    return float(dH(-t0) / H(-t0)), float(np.exp(t0))
 
 
 def threshold_g(p, rho):

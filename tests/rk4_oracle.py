@@ -1,7 +1,8 @@
 """Independent oracle for `phi_ode`: fixed-step RK4 on the nonlinear
 characteristic equation dPhi/dt = lambda - Phi^2/lambda, one Python step at
 a time, the same steps on its linearisation for the fundamental matrix, a
-bisection for the zero of phi_tilde inside one grid cell, the
+bisection for the zero of phi_tilde inside one grid cell, the least value
+of a cubic Hermite interpolant on one cell, the
 thin-target threshold g by bracketing and bisection on the initial value,
 and the collapsing-case initial value by bisection of the clamped modulus.
 
@@ -87,6 +88,15 @@ def bisect_root(w, t_lo, y_lo, t_hi, R, substeps=4, iters=60):
         if b - a < 1e-15:
             break
     return float(np.exp(0.5 * (a + b)))
+
+
+def cell_minimum(y0, y1, d0, d1):
+    """Least value on [0, 1] of the cubic with end values y0, y1 and end
+    slopes d0, d1 (per unit cell), from the roots of its derivative."""
+    c2, c3 = 3 * (y1 - y0) - 2 * d0 - d1, 2 * (y0 - y1) + d0 + d1
+    u = np.roots([3 * c3, 2 * c2, d0])
+    u = u[(u.imag == 0) & (u.real >= 0) & (u.real <= 1)].real
+    return float(min(y0, y1, *(y0 + u * (d0 + u * (c2 + u * c3)))))
 
 
 def bisect_threshold_g(grid):

@@ -376,6 +376,69 @@ class TestSweepCommand:
         assert "rho 3.5" in capsys.readouterr().err
 
 
+INF = float("inf")
+RHO_QUERY = {"weight": {"kind": "constant", "value": 1.0}, "rho": 2.0}
+
+
+def _with(base, **changes):
+    return json.dumps(dict(base, **changes))
+
+
+def _pair(**radii):
+    return _with(BASE, pair=dict(BASE["pair"], **radii))
+
+
+class TestMalformedConfig:
+    """Malformed or non-finite config values exit 2 with the key named,
+    before any command runs (JSON's Infinity parses to inf)."""
+
+    @pytest.mark.parametrize("text, key", [
+        pytest.param("[]", "config", id="top-list"),
+        pytest.param("5", "config", id="top-number"),
+        pytest.param(_with(BASE, numerics=[]), "numerics", id="numerics"),
+        pytest.param(_with(BASE, mode=3), "mode", id="mode"),
+        pytest.param(_with(BASE, mode={"fixed_outer_boundary": "yes"}),
+                     "mode.fixed_outer_boundary", id="mode-flag"),
+        pytest.param(_with(BASE, output={"directory": 5}), "output.directory",
+                     id="output-directory"),
+        pytest.param(_with(BASE, pair=[1, 2, 1, 1.25]), "pair", id="pair"),
+        pytest.param(_with(RHO_QUERY, rho_values=2), "rho_values",
+                     id="rho-values-number"),
+        pytest.param(_with(RHO_QUERY, rho_values={"a": 2}), "rho_values",
+                     id="rho-values-object"),
+        pytest.param(_with(RHO_QUERY, rho="x"), "rho", id="rho-string"),
+        pytest.param(_with(RHO_QUERY, rho=INF), "rho", id="rho-inf"),
+        pytest.param(_with(RHO_QUERY, rho_values=[2.0, INF]), "rho_values",
+                     id="rho-values-inf"),
+        pytest.param(_pair(r="a"), "pair.r", id="pair-r-string"),
+        pytest.param(_pair(R=INF), "pair.R", id="pair-R-inf"),
+        pytest.param(_pair(R_star=INF), "pair.R_star", id="pair-R_star-inf"),
+        pytest.param(_pair(r_star=True), "pair.r_star", id="pair-r_star-bool"),
+        pytest.param(_with(BASE, weight={"kind": "power", "exponent": "x"}),
+                     "weight.exponent", id="power-exponent"),
+        pytest.param(_with(BASE, weight={"kind": "constant", "value": INF}),
+                     "weight.value", id="constant-value-inf"),
+        pytest.param(_with(BASE, weight={"kind": ["constant"]}),
+                     "weight.kind", id="weight-kind-list"),
+        pytest.param(_with(BASE, weight={"kind": "tabulated",
+                                         "samples": [[1, 1], [2]]}),
+                     "weight.samples", id="samples-ragged"),
+        pytest.param(_with(BASE, weight={"kind": "tabulated",
+                                         "samples": "abc"}),
+                     "weight.samples", id="samples-string"),
+        pytest.param(_with(BASE, weight={"kind": "tabulated",
+                                         "samples": [[1, 1], [2, INF]]}),
+                     "weight.samples", id="samples-inf")])
+    def test_exits_2_naming_the_key(self, tmp_path, capsys, text, key):
+        p = tmp_path / "config.json"
+        p.write_text(text)
+        command = "solve" if '"pair"' in text else "threshold"
+        rc = cli.main([command, "--config", str(p), "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 2, err
+        assert err.startswith(f"error: {key} ") or f" {key} " in err, err
+
+
 class TestErrorPaths:
     def test_bad_config_returns_2(self, tmp_path, capsys):
         p = tmp_path / "bad.json"

@@ -7,7 +7,8 @@ from annular_dirichlet import phi_ode as po
 from annular_dirichlet.weights import Weight
 
 from conftest import closed_form_phi
-from rk4_oracle import bisect_root, fundamental_columns, rk4_path
+from rk4_oracle import (bisect_root, cell_minimum, fundamental_columns,
+                        rk4_path)
 
 
 def k_for_phi0(phi0, s=1.0):
@@ -131,7 +132,7 @@ class TestAgainstNonlinearRk4:
         np.testing.assert_array_equal(np.maximum(0.0, ours),
                                       np.maximum(0.0, rk4_path(grid, -3.0)))
 
-    @pytest.mark.parametrize("phi0", [-0.3, -0.05])
+    @pytest.mark.parametrize("phi0", [-0.45, -0.3, -0.05, -0.01])
     def test_collapse_radius_matches_bisection(self, grid, phi0):
         w = grid.w
         p = po.solve_phi_tilde(w, 1.0, 2.0, phi0, grid=grid)
@@ -142,6 +143,22 @@ class TestAgainstNonlinearRk4:
         # which limits the cubic interpolant to O(h^3) there (about 2e-12)
         tol = 5e-12 if w.kind == "tabulated" else 1e-12
         assert abs(p.r0 - r0) <= tol
+
+    @pytest.mark.parametrize("phi0", [-0.45, -0.3, -0.05, -0.01])
+    def test_kink_value_is_the_cell_minimum_of_H(self, grid, phi0):
+        # H is flat at its minimum, so H's cubic read at phi_tilde's root
+        # is the least value of that cubic on the cell (measured within
+        # 2.4e-16 relative)
+        h0, h1, q0, q1 = grid.columns
+        H, q = h0 + phi0 * h1, q0 + phi0 * q1
+        y = grid.integrate(phi0)
+        k = int(np.searchsorted(y >= 0, True))
+        t0, H_kink = po._kink(grid, H, q, y, k)
+        assert grid.t[k - 1] <= t0 <= grid.t[k]
+        cell = slice(k - 1, k + 1)
+        dH = (grid.t[k] - grid.t[k - 1]) * q[cell] / grid.lam[cell]
+        ref = cell_minimum(*H[cell], *dH)
+        assert abs(H_kink - ref) <= 1e-14 * ref
 
 
 class TestFundamentalColumns:
@@ -261,11 +278,22 @@ class TestNumericalKernels:
 
     @pytest.mark.parametrize("n", [*range(2, 65), 1001, 1002, 4097, 8193])
     def test_simpson_is_scipys_to_the_bit(self, n):
+        # composite Simpson on odd counts; scipy's even-count (Cartwright)
+        # and two-point branches are not kept, so an even count raises
         rng = np.random.default_rng(n)
         for _ in range(5):
             y = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3)
             dx = rng.uniform(1e-4, 1.0)
-            assert po._simpson(y, dx) == simpson(y, dx=dx)
+            if n % 2:
+                assert po._simpson(y, dx) == simpson(y, dx=dx)
+            else:
+                with pytest.raises(ValueError, match="odd count"):
+                    po._simpson(y, dx)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_simpson_needs_three_samples(self, n):
+        with pytest.raises(ValueError, match="odd count >= 3"):
+            po._simpson(np.ones(n), 0.1)
 
     def test_cumulative_integral_preserves_zero_runs(self):
         f = np.zeros(33)

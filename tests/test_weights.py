@@ -92,6 +92,8 @@ def test_positivity_validation():
                  r"value -1 at s = 1$", id="negative-scale"),
     pytest.param(lambda: Weight.constant(1.0, 2.0, 2.0), r"need 0 < r < R",
                  id="empty-interval"),
+    pytest.param(lambda: Weight.power(1.0, 1.0, np.inf), r"need 0 < r < R",
+                 id="infinite-interval"),
 ])
 def test_construction_rejects_non_positive_weights(make, message):
     with pytest.raises(WeightError, match=message):
