@@ -131,9 +131,9 @@ def _is_int(x):
 def _check_numerics(num):
     _need(_is_int(num["seed"]), "numerics.seed", "an explicit integer",
           num["seed"])
-    for key in ("ode_grid", "radial_grid", "max_iter"):
-        _need(_is_int(num[key]) and num[key] > 0, f"numerics.{key}",
-              "a positive integer", num[key])
+    for key, least in (("ode_grid", 16), ("radial_grid", 3), ("max_iter", 1)):
+        _need(_is_int(num[key]) and num[key] >= least, f"numerics.{key}",
+              f"an integer >= {least}", num[key])
     grid = num["polar_grid"]
     _need(isinstance(grid, list) and len(grid) == 2
           and all(_is_int(n) and n >= 3 for n in grid),

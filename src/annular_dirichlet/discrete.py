@@ -14,7 +14,8 @@ exact, cheap gradient.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property, partial
 
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal, solveh_banded
@@ -60,13 +61,21 @@ class RadialVector:
             raise AdmissibilityError("H must be nondecreasing")
 
 
+def polar_grid(pair: rd.AnnulusPair, ns, ntheta):
+    """(t, theta): ns log radii from ln r to ln R and ntheta angles
+    2 pi j / ntheta, the grid of every polar-grid map of this shape."""
+    if ns < 3 or ntheta < 3:
+        raise ValueError(f"polar grid needs ns, ntheta >= 3, got {ns} x {ntheta}")
+    t = np.linspace(np.log(pair.r), np.log(pair.R), ns)
+    return t, 2 * np.pi * np.arange(ntheta) / ntheta
+
+
 @dataclass
 class PolarGridMap:
+    """h on its pair's `polar_grid`, read once per map (h keeps its shape)."""
     h: np.ndarray                 # complex, shape (ns, ntheta)
     pair: rd.AnnulusPair
     mode: str = MODE_FREE
-    t: np.ndarray = field(kw_only=True, repr=False)       # log radii per row
-    theta: np.ndarray = field(kw_only=True, repr=False)   # angle per column
 
     @property
     def ns(self):
@@ -75,6 +84,14 @@ class PolarGridMap:
     @property
     def ntheta(self):
         return self.h.shape[1]
+
+    @cached_property
+    def t(self):                  # log radii per row
+        return polar_grid(self.pair, self.ns, self.ntheta)[0]
+
+    @cached_property
+    def theta(self):              # angle per column
+        return polar_grid(self.pair, self.ns, self.ntheta)[1]
 
     @property
     def s(self):
@@ -294,6 +311,8 @@ def minimize_radial(w: Weight, pair: rd.AnnulusPair, n=2048):
     nonnegative and H monotone (FeasibilityError otherwise).
     rep.iterations counts the banded solves.
     """
+    if n < 3:
+        raise ValueError(f"minimize_radial needs n >= 3 cells, got {n}")
     t = np.linspace(np.log(pair.r), np.log(pair.R), n + 1)
     s = np.exp(t)
     s[0], s[-1] = pair.r, pair.R
@@ -355,12 +374,11 @@ def polar_gradient(w: Weight, m: PolarGridMap):
 def embed_radial(sol: rd.RadialSolution, ns=256, ntheta=256, mode=MODE_FREE):
     """Embed a radial minimizer as a polar-grid map h = H(s) e^{i theta}."""
     pair = sol.pair
-    t = np.linspace(np.log(pair.r), np.log(pair.R), ns)
+    t, theta = polar_grid(pair, ns, ntheta)
     H = np.interp(t, sol.phi.t, sol.profile.H)
     H[0], H[-1] = pair.r_star, pair.R_star
-    theta = 2 * np.pi * np.arange(ntheta) / ntheta
     h = H[:, None] * np.exp(1j * theta)[None, :]
-    return PolarGridMap(h, pair, mode, t=t, theta=theta)
+    return PolarGridMap(h, pair, mode)
 
 
 def smooth_perturbation(t, theta, amplitude, rng):
@@ -391,8 +409,7 @@ def perturb_map(m: PolarGridMap, amplitude, seed):
     dG = smooth_perturbation(m.t, m.theta, amplitude * span, rng)
     dA = smooth_perturbation(m.t, m.theta, amplitude * np.pi, rng)
     G2 = np.clip(G + dG, m.pair.r_star, m.pair.R_star)
-    out = PolarGridMap(G2 * np.exp(1j * (alpha + dA)), m.pair, m.mode,
-                       t=m.t, theta=m.theta)
+    out = PolarGridMap(G2 * np.exp(1j * (alpha + dA)), m.pair, m.mode)
     if m.mode == MODE_FIXED_OUTER:
         out.h[-1] = m.pair.R_star * np.exp(1j * m.theta)
     if _bad_row(out) is not None:
@@ -417,61 +434,44 @@ def _project(h, m: PolarGridMap):
     return out
 
 
-def _descend(x0, grad, project, winds, L, max_iter):
+def _descend(x0, grad, project, L, max_iter):
     """Projected FISTA with function-value restarts and step 1/L on the
     quadratic with gradient `grad`.  The gradient is linear, so a step
     applies it once, to the new iterate: its gradient G gives its energy
     Re<G, x>/2 and, with the previous one, the gradient at the
-    extrapolated point.  `winds` is probed every 100 steps and at the
-    end; a failure restarts from x0 with half the step, at most four
-    attempts.  Stops after 10 steps whose energy changes by at most
-    POLAR_TOL (relative).  Returns (x, steps of all attempts, converged).
+    extrapolated point.  Stops after 10 steps whose energy changes by at
+    most POLAR_TOL (relative).  Returns (x, steps, converged).
     """
-    step_scale = 1.0
-    iterations = 0
-    for attempt in range(4):
-        h = x0.copy()
-        G_h = grad(h)
-        E_cur = 0.5 * np.vdot(G_h, h).real
-        y, G_y = h, G_h
-        t_k = 1.0
-        quiet = 0
-        it = 0
-        converged = False
-        ok = True
-        for it in range(1, max_iter + 1):
-            h_new = project(y - (step_scale / L) * G_y)
+    step = 1.0 / L
+    h = x0.copy()
+    G_h = grad(h)
+    E_cur = 0.5 * np.vdot(G_h, h).real
+    y, G_y = h, G_h
+    t_k = 1.0
+    quiet = 0
+    it = 0
+    for it in range(1, max_iter + 1):
+        h_new = project(y - step * G_y)
+        G_new = grad(h_new)
+        E_new = 0.5 * np.vdot(G_new, h_new).real
+        if E_new > E_cur:   # momentum overshoot: restart from h
+            t_k = 1.0
+            h_new = project(h - step * G_h)
             G_new = grad(h_new)
             E_new = 0.5 * np.vdot(G_new, h_new).real
-            if E_new > E_cur:   # momentum overshoot: restart from h
-                t_k = 1.0
-                h_new = project(h - (step_scale / L) * G_h)
-                G_new = grad(h_new)
-                E_new = 0.5 * np.vdot(G_new, h_new).real
-            t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_k * t_k))
-            beta = (t_k - 1.0) / t_next
-            y = h_new + beta * (h_new - h)
-            G_y = (1.0 + beta) * G_new - beta * G_h
-            t_k = t_next
-            if it % 100 == 0 and not winds(h_new):
-                ok = False
-                break
-            small = abs(E_new - E_cur) <= POLAR_TOL * max(abs(E_new), 1.0)
-            quiet = quiet + 1 if small else 0
-            h, G_h, E_cur = h_new, G_new, E_new
-            if quiet >= 10:
-                converged = True
-                break
-        iterations += it
-        if ok and winds(h):
-            break
-        step_scale *= 0.5
-    else:
-        raise FeasibilityError("descent kept leaving the admissible class")
-    if not converged and it >= max_iter:
-        warnings.warn("minimize_polar hit the iteration cap; "
-                      "returning the best iterate", RuntimeWarning)
-    return h, iterations, converged
+        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_k * t_k))
+        beta = (t_k - 1.0) / t_next
+        y = h_new + beta * (h_new - h)
+        G_y = (1.0 + beta) * G_new - beta * G_h
+        t_k = t_next
+        small = abs(E_new - E_cur) <= POLAR_TOL * max(abs(E_new), 1.0)
+        quiet = quiet + 1 if small else 0
+        h, G_h, E_cur = h_new, G_new, E_new
+        if quiet >= 10:
+            return h, it, True
+    warnings.warn("minimize_polar hit the iteration cap; "
+                  "returning the best iterate", RuntimeWarning)
+    return h, it, False
 
 
 def minimize_polar(w: Weight, pair: rd.AnnulusPair, ns=256, ntheta=256,
@@ -480,25 +480,30 @@ def minimize_polar(w: Weight, pair: rd.AnnulusPair, ns=256, ntheta=256,
                    radial_solution: rd.RadialSolution | None = None):
     """Projected descent over admissible polar-grid maps.
 
-    Default initialization is the embedded radial minimizer, optionally
-    with a seeded smooth perturbation.  For fixed boundary rows the
-    interior minimizer of the form is linear in them
-    (`CylinderForm.boundary_reduction`), so the descent runs on the two
-    boundary rows only (row 0 only in fixed-outer mode): its gradient is
-    (2 / ntheta) ifft(S_k b_k) and its step 1/L_S, L_S = (2 / ntheta)
+    The start map is `init`, else the embedded radial minimizer
+    (`radial_solution` or `rd.build(w, pair)`): `ns`, `ntheta` and `mode`
+    shape only that default.  It must be on `pair` (ValueError), and its
+    grid and mode are those of the projection, the descent and the
+    result.  `perturbation` > 0 adds a seeded smooth perturbation.  For
+    fixed boundary rows the interior minimizer of the form is linear in
+    them (`CylinderForm.boundary_reduction`), so the descent runs on the
+    two boundary rows only (row 0 only in fixed-outer mode): its gradient
+    is (2 / ntheta) ifft(S_k b_k) and its step 1/L_S, L_S = (2 / ntheta)
     max_k lambda_max(S_k); the interior is their extension
     -ifft(Z_k b_k).  If the final extension leaves [r_star, R_star], the
     relaxation is infeasible (collapsing pairs) and the descent runs on
-    the whole grid from init instead, with the moduli clamped into
-    [r_star, R_star].  Both descents are `_descend`; the projection
-    re-pins the boundary rows for the mode, and row windings are probed
-    on the full map.  rep.iterations counts the steps of all attempts
-    of both.
+    the whole grid from the start map instead.  Both descents are
+    `_descend`, whose projection clamps the moduli into [r_star, R_star]
+    and re-pins the boundary rows for the mode.  The final map's row
+    windings are checked once (FeasibilityError).  rep.iterations counts
+    the steps of both descents.
     """
     if init is None:
         sol = radial_solution if radial_solution is not None \
             else rd.build(w, pair)
         init = embed_radial(sol, ns, ntheta, mode)
+    if init.pair != pair:
+        raise ValueError(f"start map is on {init.pair}, not on {pair}")
     if perturbation > 0:
         init = perturb_map(init, perturbation, seed)
     init.check()
@@ -509,15 +514,7 @@ def minimize_polar(w: Weight, pair: rd.AnnulusPair, ns=256, ntheta=256,
     k = np.minimum(np.arange(ntheta), ntheta - np.arange(ntheta))
     Z, S = Z[k], S[k]           # per column of fft(rows, axis=1)
 
-    def project(h):
-        return _project(h, init)
-
-    def winds(h):
-        try:
-            return _bad_row(PolarGridMap(h, pair, mode, t=init.t,
-                                         theta=init.theta)) is None
-        except DegenerateRowError:
-            return False
+    project = partial(_project, m=init)
 
     def reduced_grad(b):
         bh = np.fft.fft(b, axis=1)
@@ -531,16 +528,18 @@ def minimize_polar(w: Weight, pair: rd.AnnulusPair, ns=256, ntheta=256,
                                          np.fft.fft(b, axis=1)), axis=1)
         return h
 
-    b, iterations, converged = _descend(
-        init.h[[0, -1]], reduced_grad, project, lambda b: winds(extend(b)),
-        L_S, max_iter)
+    b, iterations, converged = _descend(init.h[[0, -1]], reduced_grad,
+                                        project, L_S, max_iter)
     h = extend(b)
     mod = np.abs(h)
     if (mod.min() < pair.r_star - ADMISSIBLE_TOL
             or mod.max() > pair.R_star + ADMISSIBLE_TOL):
-        h, steps, converged = _descend(init.h, form.grad, project, winds,
-                                       form.L, max_iter)
+        h, steps, converged = _descend(init.h, form.grad, project, form.L,
+                                       max_iter)
         iterations += steps
-    out = PolarGridMap(h, pair, mode, t=init.t, theta=init.theta)
+    out = PolarGridMap(h, pair, init.mode)
+    row = _bad_row(out)     # |h| >= r_star - ADMISSIBLE_TOL: no row meets 0
+    if row is not None:
+        raise FeasibilityError(f"descended map: row {row} winding is not +1")
     return out, EnergyReport(form.energy(h), iterations, converged,
                              negative_jacobian_fraction(out))

@@ -82,7 +82,7 @@ def make_test_map(spec: TestMapSpec):
     if spec.kind == "perturbed":
         base = make_test_map(spec.base)
         return dc.perturb_map(base, spec.amplitude, spec.seed)
-    t = np.linspace(np.log(pair.r), np.log(pair.R), spec.ns)
+    t, theta = dc.polar_grid(pair, spec.ns, spec.ntheta)
     s = np.exp(t)
     profile = spec.profile
     if profile is None:
@@ -90,15 +90,13 @@ def make_test_map(spec: TestMapSpec):
         profile = radial_profile(rd.build(w, pair))
     H = np.array(profile(s), dtype=float)
     H[0], H[-1] = pair.r_star, pair.R_star
-    theta = 2 * np.pi * np.arange(spec.ntheta) / spec.ntheta
     phase = theta[None, :]
     if spec.kind == "twist":
         shift = np.asarray(spec.twist(s), dtype=float)
         phase = phase + shift[:, None]
     elif spec.kind != "radial":
         raise ValueError(f"unknown test map kind: {spec.kind!r}")
-    m = dc.PolarGridMap(H[:, None] * np.exp(1j * phase), pair,
-                        t=t, theta=theta)
+    m = dc.PolarGridMap(H[:, None] * np.exp(1j * phase), pair)
     m.check()
     return m
 

@@ -54,10 +54,8 @@ class PhiSolution:
 
 @dataclass
 class RadialProfile:
-    s: np.ndarray
-    H: np.ndarray
+    H: np.ndarray            # on the phase solution's grid
     Hdot: np.ndarray
-    r_star: float
 
 
 class OdeGrid:
@@ -268,4 +266,4 @@ def recover_H(p: PhiSolution, w: Weight, r_star):
     h = p.t[1] - p.t[0]
     H = r_star * np.exp(cumulative_integral(p.phi / lam, h))
     Hdot = H * p.phi / (p.s * lam)
-    return RadialProfile(s=p.s, H=H, Hdot=Hdot, r_star=float(r_star))
+    return RadialProfile(H, Hdot)

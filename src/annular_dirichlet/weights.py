@@ -2,10 +2,10 @@
 
 Three concrete families are supported: constant weights, power weights
 ``s**p`` and tabulated weights with piecewise-linear interpolation.  A
-weight is positive on its interval by construction: the constructor runs
-`Weight.validate`, which raises `WeightError` otherwise, so no caller
-checks again.  Positivity and monotonicity are decided exactly on a few
-knots (`Weight._knots`).
+weight is positive and finite on its interval by construction: the
+constructor runs `Weight.validate`, which raises `WeightError` otherwise,
+so no caller checks again.  Positivity, finiteness and monotonicity are
+decided exactly on a few knots (`Weight._knots`).
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ class Weight:
 
     Use the ``constant``, ``power`` and ``tabulated`` constructors rather
     than instantiating directly.  Construction raises `WeightError` unless
-    0 < r < R < inf and the weight is positive on [r, R].
+    0 < r < R < inf and the weight is positive and finite on [r, R].
     """
 
     kind: str
@@ -108,23 +108,25 @@ class Weight:
                       exponent=self.exponent)
 
     def _knots(self):
-        """(s, lambda) on the radii that decide positivity and
+        """(s, lambda) on the radii that decide positivity, finiteness and
         monotonicity on [r, R]: the samples kept there (a linear
         interpolant has its extremes and its drops at its knots), or the
         two ends of a constant or power weight (value * s**p is monotone)."""
         if self.kind == "tabulated":
             return self.abscissae, self.ordinates
         s = np.array([self.r, self.R])
-        return s, self._values(s)
+        with np.errstate(over="ignore"):    # validate rejects the inf
+            return s, self._values(s)
 
     def validate(self):
-        """Raise `WeightError` unless the weight is positive on [r, R].
-        Exact on `_knots`; NaN is not positive."""
+        """Raise `WeightError` unless the weight is positive and finite on
+        [r, R].  Exact on `_knots`; NaN is not positive."""
         s, lam = self._knots()
-        if not lam.min() > 0:       # also when some value is NaN
-            i = np.flatnonzero(~(lam > 0))[0]
-            raise WeightError(f"{self.kind} weight must be positive on "
-                              f"[{self.r:g}, {self.R:g}]: non-positive value "
+        if not (lam.min() > 0 and lam.max() < np.inf):    # also when NaN
+            i = np.flatnonzero(~((lam > 0) & (lam < np.inf)))[0]
+            need = "finite" if lam[i] == np.inf else "positive"
+            raise WeightError(f"{self.kind} weight must be {need} on "
+                              f"[{self.r:g}, {self.R:g}]: non-{need} value "
                               f"{lam[i]:g} at s = {s[i]:g}")
 
     def is_nondecreasing(self):

@@ -230,11 +230,9 @@ def test_criterion_09_gradient_correctness():
              + 1j * rng.standard_normal(m.h.shape))
         d[0] = d[-1] = 0.0
         eps = 1e-6
-        ep = dc.polar_energy(w, dc.PolarGridMap(m.h + eps * d, pair,
-                                                t=m.t, theta=m.theta),
+        ep = dc.polar_energy(w, dc.PolarGridMap(m.h + eps * d, pair),
                              check=False).total
-        em = dc.polar_energy(w, dc.PolarGridMap(m.h - eps * d, pair,
-                                                t=m.t, theta=m.theta),
+        em = dc.polar_energy(w, dc.PolarGridMap(m.h - eps * d, pair),
                              check=False).total
         fd = (ep - em) / (2 * eps)
         pairing = float(np.sum(g.real * d.real + g.imag * d.imag))

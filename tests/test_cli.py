@@ -79,7 +79,9 @@ class TestParseConfig:
         ("polar_grid", [48, 48, 48]), ("polar_grid", [48.0, 48]),
         ("perturbation", -1), ("perturbation", float("nan")),
         ("perturbation", float("inf")), ("perturbation", "0.1"),
-        ("seed", 1.0), ("seed", True), ("seed", "0")])
+        ("seed", 1.0), ("seed", True), ("seed", "0"),
+        # too small for their solvers
+        ("ode_grid", 8), ("radial_grid", 1), ("radial_grid", 2)])
     def test_bad_numerics_named(self, key, value):
         bad = dict(BASE)
         bad["numerics"] = dict(BASE["numerics"], **{key: value})
@@ -88,7 +90,8 @@ class TestParseConfig:
 
     @pytest.mark.parametrize("numerics", [
         {"polar_grid": [2, 2]}, {"ode_grid": "abc"}, {"max_iter": 0},
-        {"perturbation": -1}])
+        {"perturbation": -1}, {"radial_grid": 1}, {"radial_grid": 2},
+        {"ode_grid": 8}])
     def test_bad_numerics_exit_2(self, tmp_path, capsys, numerics):
         cfg = dict(BASE, numerics=dict(BASE["numerics"], **numerics))
         p = write_config(tmp_path, cfg)
@@ -127,6 +130,15 @@ class TestParseConfig:
         assert capsys.readouterr().err == (
             "error: rho 3: tabulated weight must be positive on [1, 3]: "
             "non-positive value -1 at s = 2.5\n")
+
+    def test_weight_overflowing_on_a_ratio_exits_2(self, tmp_path, capsys):
+        cfg = {"weight": {"kind": "power", "exponent": 500}, "rho": 5}
+        p = write_config(tmp_path, cfg)
+        rc = cli.main(["threshold", "--config", str(p), "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: rho 5: power weight must be finite on [1, 5]: "
+            "non-finite value inf at s = 5\n")
 
     def test_missing_weight(self):
         bad = {k: v for k, v in BASE.items() if k != "weight"}

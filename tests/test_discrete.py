@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from annular_dirichlet import discrete as dc
+from annular_dirichlet import lagrangians as lg
 from annular_dirichlet import radial as rd
 from annular_dirichlet.weights import Weight
 
@@ -24,24 +25,22 @@ WEIGHTS = {
 
 def identity_map(ns=64, ntheta=64, pair=None):
     pair = pair or rd.AnnulusPair(1, 2, 1, 2)
-    t = np.linspace(np.log(pair.r), np.log(pair.R), ns)
-    theta = 2 * np.pi * np.arange(ntheta) / ntheta
+    t, theta = dc.polar_grid(pair, ns, ntheta)
     h = np.exp(t)[:, None] * np.exp(1j * theta)[None, :]
-    return dc.PolarGridMap(h, pair, t=t, theta=theta)
+    return dc.PolarGridMap(h, pair)
 
 
 def twisted_map(pair, n, mode, amplitude=0.3):
     """Admissible map with a linear profile whose boundary rows are
     reparametrized circles: the inner row always, the outer row when free."""
-    t = np.linspace(np.log(pair.r), np.log(pair.R), n)
-    theta = 2 * np.pi * np.arange(n) / n
+    t, theta = dc.polar_grid(pair, n, n)
     u = (t - t[0]) / (t[-1] - t[0])
     angle = np.outer(1 - u, np.sin(theta) + 0.5 * np.cos(3 * theta))
     if mode == dc.MODE_FREE:
         angle += np.outer(u, np.cos(2 * theta + 1.0))
     H = pair.r_star + (pair.R_star - pair.r_star) * u
     h = H[:, None] * np.exp(1j * (theta[None, :] + amplitude * angle))
-    return dc.PolarGridMap(h, pair, mode, t=t, theta=theta)
+    return dc.PolarGridMap(h, pair, mode)
 
 
 def oracle_minimum(w, m):
@@ -70,20 +69,18 @@ class TestPolarGridMap:
     def test_fixed_outer_mode_pins_outer_row(self):
         pair = rd.AnnulusPair(1, 2, 1, 2)
         m = identity_map(pair=pair)
-        fixed = dc.PolarGridMap(m.h, pair, mode=dc.MODE_FIXED_OUTER,
-                                t=m.t, theta=m.theta)
+        fixed = dc.PolarGridMap(m.h, pair, mode=dc.MODE_FIXED_OUTER)
         fixed.check()
         bad = m.h.copy()
         bad[-1] *= np.exp(0.3j)     # rigid rotation of the outer circle
         with pytest.raises(dc.AdmissibilityError):
-            dc.PolarGridMap(bad, pair, mode=dc.MODE_FIXED_OUTER,
-                            t=m.t, theta=m.theta).check()
+            dc.PolarGridMap(bad, pair, mode=dc.MODE_FIXED_OUTER).check()
 
     def test_winding_number(self):
         m = identity_map()
         assert dc.winding_number(m, 0) == 1
         assert dc.winding_number(m, m.h.shape[0] // 2) == 1
-        rev = dc.PolarGridMap(np.conj(m.h), m.pair, t=m.t, theta=m.theta)
+        rev = dc.PolarGridMap(np.conj(m.h), m.pair)
         assert dc.winding_number(rev, 3) == -1
 
     @pytest.mark.xfail(strict=True, raises=dc.AdmissibilityError,
@@ -351,11 +348,9 @@ class TestPolarGradient:
         d = rng.standard_normal(m.h.shape) + 1j * rng.standard_normal(m.h.shape)
         d[0] = d[-1] = 0.0     # keep the variation admissible
         eps = 1e-6
-        ep = dc.polar_energy(w, dc.PolarGridMap(m.h + eps * d, m.pair,
-                                                t=m.t, theta=m.theta),
+        ep = dc.polar_energy(w, dc.PolarGridMap(m.h + eps * d, m.pair),
                              check=False).total
-        em = dc.polar_energy(w, dc.PolarGridMap(m.h - eps * d, m.pair,
-                                                t=m.t, theta=m.theta),
+        em = dc.polar_energy(w, dc.PolarGridMap(m.h - eps * d, m.pair),
                              check=False).total
         fd = (ep - em) / (2 * eps)
         pairing = float(np.sum(g.real * d.real + g.imag * d.imag))
@@ -471,29 +466,78 @@ class TestMinimizePolar:
         # the boundary descent's 10 quiet steps, then the full grid's 45
         assert rep.iterations == 10 + 45
 
-    def test_iterations_count_every_attempt(self, monkeypatch,
-                                            collapse_solution):
+    def test_cap_stops_the_full_grid_descent(self, collapse_solution):
         # on a collapsing pair the boundary descent converges in 10 steps
         # and its extension leaves the annulus, so the full grid descends
-        # (about 680 steps): its first attempt fails the winding probe at
-        # step 100, the second runs to the cap
-        bad_row = dc._bad_row
-        calls = []
-
-        def fourth_call_fails(m):
-            # 1: perturb_map, 2: init.check, 3: end of the boundary descent
-            calls.append(m)
-            return 0 if len(calls) == 4 else bad_row(m)
-
-        monkeypatch.setattr(dc, "_bad_row", fourth_call_fails)
+        # (about 680 steps) and stops at the cap
         with pytest.warns(RuntimeWarning, match="iteration cap"):
             _, rep = dc.minimize_polar(
                 unit(), collapse_solution.pair, ns=32, ntheta=32, seed=1,
                 perturbation=0.05, max_iter=150,
                 radial_solution=collapse_solution)
-        assert len(calls) == 6
-        assert rep.iterations == 10 + 100 + 150
+        assert rep.iterations == 10 + 150
         assert not rep.converged
+
+    def test_final_map_that_does_not_wind_once_raises(self, monkeypatch):
+        pair = rd.AnnulusPair(1, 2, 1, 1.25)
+        init = twisted_map(pair, 32, dc.MODE_FREE)
+        bad_row = dc._bad_row
+        calls = []
+
+        def second_call_fails(m):
+            # 1: init.check, 2: the final map
+            calls.append(m)
+            return 0 if len(calls) == 2 else bad_row(m)
+
+        monkeypatch.setattr(dc, "_bad_row", second_call_fails)
+        with pytest.raises(dc.FeasibilityError, match="row 0"):
+            dc.minimize_polar(unit(), pair, init=init)
+        assert len(calls) == 2
+
+    def test_start_map_brings_its_mode(self):
+        # a free start with a rotated outer row, descended with the
+        # fixed-outer default: the result keeps the start's mode
+        init = identity_map(32, 32)
+        pair = init.pair
+        init.h[-1] *= np.exp(0.3j)
+        init.check()
+        m, rep = dc.minimize_polar(unit(), pair, mode=dc.MODE_FIXED_OUTER,
+                                   init=init)
+        assert m.mode == dc.MODE_FREE and rep.converged
+        m.check()
+
+    def test_start_map_on_another_pair_raises(self, collapse_solution):
+        pair = rd.AnnulusPair(1.0, 2.0, 1.0, 1.25)
+        with pytest.raises(ValueError, match="start map is on"):
+            dc.minimize_polar(unit(), pair, init=identity_map(32, 32))
+        with pytest.raises(ValueError, match="start map is on"):
+            dc.minimize_polar(unit(), pair, ns=32, ntheta=32,
+                              radial_solution=collapse_solution)
+
+    @pytest.mark.parametrize("ns, ntheta", [(2, 32), (32, 2)])
+    def test_grid_too_small_raises(self, conformal_solution, ns, ntheta):
+        with pytest.raises(ValueError, match=f"got {ns} x {ntheta}"):
+            dc.minimize_polar(unit(), conformal_solution.pair, ns=ns,
+                              ntheta=ntheta,
+                              radial_solution=conformal_solution)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_minimize_radial_grid_too_small_raises(n):
+    with pytest.raises(ValueError, match=f"n >= 3 cells, got {n}"):
+        dc.minimize_radial(unit(), rd.AnnulusPair(1, 2, 1, 1.25), n=n)
+
+
+def test_maps_are_on_their_polar_grid(conformal_solution):
+    pair = conformal_solution.pair
+    embedded = dc.embed_radial(conformal_solution, 48, 40)
+    maps = [embedded, dc.perturb_map(embedded, 0.05, 3),
+            lg.make_test_map(lg.TestMapSpec(kind="radial", pair=pair,
+                                            ns=48, ntheta=40))]
+    t, theta = dc.polar_grid(pair, 48, 40)
+    for m in maps:
+        assert m.t.tobytes() == t.tobytes()
+        assert m.theta.tobytes() == theta.tobytes()
 
 
 @given(seed=st.integers(min_value=0, max_value=10 ** 6),

@@ -234,7 +234,7 @@ class TestRecoverH:
         w = Weight.constant(1.0, 1.0, 2.0)
         p = po.solve_phi_tilde(w, 1.0, 2.0, 1.0)
         prof = po.recover_H(p, w, 1.0)
-        np.testing.assert_allclose(prof.H, prof.s, rtol=1e-12)
+        np.testing.assert_allclose(prof.H, p.s, rtol=1e-12)
         np.testing.assert_allclose(prof.Hdot, 1.0, rtol=1e-10)
 
     def test_plateau_in_collapse_case(self):

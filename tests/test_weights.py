@@ -90,6 +90,15 @@ def test_positivity_validation():
                  r"value -1 at s = 2.75$", id="tabulated-cut-end"),
     pytest.param(lambda: Weight.power(1.0, 1.0, 2.0).scale(-1.0),
                  r"value -1 at s = 1$", id="negative-scale"),
+    # 5**500 overflows to inf at the outer end only
+    pytest.param(lambda: Weight.power(500.0, 1.0, 5.0),
+                 r"power weight must be finite on \[1, 5\]: "
+                 r"non-finite value inf at s = 5$", id="power-end-overflows"),
+    pytest.param(lambda: Weight.constant(np.inf, 1.0, 2.0),
+                 r"value inf at s = 1$", id="constant-inf"),
+    pytest.param(lambda: Weight.tabulated([1.0, 2.0], [1.0, np.inf]),
+                 r"tabulated weight must be finite on \[1, 2\]: "
+                 r"non-finite value inf at s = 2$", id="tabulated-inf"),
     pytest.param(lambda: Weight.constant(1.0, 2.0, 2.0), r"need 0 < r < R",
                  id="empty-interval"),
     pytest.param(lambda: Weight.power(1.0, 1.0, np.inf), r"need 0 < r < R",
@@ -218,6 +227,11 @@ def power_violates(exponent, r, R, value):
     return bool(np.any(value * _oracle_grid(r, R) ** exponent <= 0))
 
 
+def power_overflows(exponent, r, R, value):
+    """Whether value * s**exponent is inf somewhere on the same grid."""
+    return bool(np.any(value * _oracle_grid(r, R) ** exponent == np.inf))
+
+
 @given(data=st.data())
 @settings(max_examples=200, deadline=None)
 def test_tabulated_construction_matches_grid_oracle(data):
@@ -250,9 +264,12 @@ def test_power_construction_matches_grid_oracle(data):
         st.floats(-400.0, 400.0),
         st.floats(700.0, 760.0).map(lambda c: max(-c / np.log(R), -400.0))))
     value = data.draw(st.one_of(st.floats(1e-3, 1e3), st.floats(-10.0, -1e-3)))
-    with np.errstate(over="ignore"):    # s**400 overflows to inf > 0
+    with np.errstate(over="ignore"):    # s**400 can overflow to inf
         if power_violates(exponent, r, R, value):
             with pytest.raises(WeightError, match="must be positive"):
+                Weight.power(exponent, r, R, value=value)
+        elif power_overflows(exponent, r, R, value):
+            with pytest.raises(WeightError, match="must be finite"):
                 Weight.power(exponent, r, R, value=value)
         else:
             assert Weight.power(exponent, r, R, value=value).validate() is None
