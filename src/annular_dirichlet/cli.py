@@ -163,10 +163,69 @@ def _config_hash(raw):
 
 FLOAT = "%.17g"   # exact on round trip
 ROW_BLOCK = 2048  # rows formatted and written at a time
+VECTOR_FROM = 256  # distinct floats from which _float_texts uses numpy
+# 10**k as doubles for k = -4..20: exact from 1e0, and for k < 0 the least
+# double above 10**k; and 10**k as int64 for k = 0..18
+_DECADES = np.array([float(f"1e{k}") for k in range(-4, 21)])
+_POW10 = 10 ** np.arange(19, dtype=np.int64)
+# [negative][integer part, 10 for >= 10][z + 1]: a value's text before its
+# %d arguments, z the leading zeros of its fraction (-1: no fraction)
+_FRAGMENTS = np.array([[[sign + i + ("" if z < 0 else "." + "0" * z + "%d")
+                         for z in range(-1, 21)] for i in [*"0123456789", "%d"]]
+                       for sign in ("", "-")], dtype=object)
+
+
+def _two_product(a, b):
+    """(p, e) with p + e = a * b exactly (Dekker, on Veltkamp's split)."""
+    (ah, al), (bh, bl) = [(h, x - h) for x in (a, b)
+                          for h in [134217729.0 * x - (134217729.0 * x - x)]]
+    p = a * b
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _fixed_notation(v):
+    """Fragments, (n, 2) int64 arguments and the mask of those used, for
+    FLOAT % v with 1e-4 <= |v| < 1e16: `" ".join(fragments) %
+    tuple(arguments[used])` split at " ".  There FLOAT prints fixed notation
+    with digits N = |v| * 10**F rounded half to even, F = 16 - floor(log10
+    |v|), 10**16 <= N <= 10**17 (the last if rounding carries); |v| * 10**F
+    = hi + lo exactly, hi >= 10**16 > 2**53 even, so N = hi + rint(lo)."""
+    a = np.abs(v)
+    F = 21 - np.searchsorted(_DECADES, a, "right")   # exact: see _DECADES
+    hi, lo = _two_product(a, _DECADES[F + 4])
+    N = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    I, R = np.divmod(N, _POW10[np.minimum(F, 18)])   # N < 10**18
+    z = F - np.searchsorted(_POW10, R, "right")
+    for p in _POW10[[16, 8, 4, 2, 1]]:   # strip up to 31 trailing zeros
+        q = R // p
+        R = np.where(q * p == R, q, R)
+    frags = _FRAGMENTS[(v < 0).view(np.int8), np.minimum(I, 10),
+                       np.where(R > 0, z + 1, 0)]
+    return frags, np.stack([I, R], axis=1), np.stack([I >= 10, R > 0], axis=1)
+
+
+def _float_texts(bits):
+    """FLOAT % v for the float64 values v with these bit patterns."""
+    values = bits.view(np.float64)
+    a = np.abs(values)
+    # on fewer values numpy's cost per call outweighs the saving
+    fast = (a >= 1e-4) & (a < 1e16) & (len(values) >= VECTOR_FROM)
+    texts = np.empty(len(values), dtype=object)
+    texts[~fast] = [FLOAT % v for v in values[~fast].tolist()]
+    if fast.any():
+        frags, args, used = _fixed_notation(values[fast])
+        out = []
+        for k in range(0, len(frags), 1024):   # few Python ints alive at once
+            at = slice(k, k + 1024)
+            out += (" ".join(frags[at].tolist())
+                    % tuple(args[at][used[at]].tolist())).split(" ")
+        texts[fast] = out
+    return texts
 
 
 def _write_csv(path, header_meta, names, columns):
-    """One CSV table from columns of one type each (arrays or sequences).
+    """One CSV table from equal-length columns of one type each (arrays or
+    sequences); columns of different lengths raise ValueError.
 
     A column's format is read off its first value after `tolist()`: a
     Python float means FLOAT for the whole column, anything else str.
@@ -174,8 +233,14 @@ def _write_csv(path, header_meta, names, columns):
     block of strings is alive at once.  Within a block each distinct float
     is formatted once, keyed by its bit pattern so that 0.0 and -0.0 keep
     their own text, and so is each distinct value of an integer or boolean
-    array column.
+    array column.  In a block of at least VECTOR_FROM distinct floats,
+    those in FLOAT's fixed-notation range get FLOAT's text from exact
+    integer digits (`_fixed_notation`).
     """
+    lengths = [len(c) for c in columns]
+    if len(set(lengths)) > 1:
+        raise ValueError(f"CSV columns differ in length: {lengths}")
+    n = lengths[0] if lengths else 0
     first = [c[:1].tolist() if isinstance(c, np.ndarray) else c[:1]
              for c in columns]
     is_float = [bool(f) and isinstance(f[0], float) for f in first]
@@ -185,7 +250,6 @@ def _write_csv(path, header_meta, names, columns):
                else c.tolist() if isinstance(c, np.ndarray)
                and c.dtype.kind not in "biu" else c
                for c, f in zip(columns, is_float)]
-    n = min(map(len, columns), default=0)
     head = [f"# {k}: {v}" for k, v in header_meta.items()]
     head.append(",".join(names))
     with path.open("w") as out:
@@ -194,25 +258,25 @@ def _write_csv(path, header_meta, names, columns):
             block = [c[a:min(a + ROW_BLOCK, n)] for c in columns]
             bits = [c for c, f in zip(block, is_float) if f]
             if bits:
-                texts = _format_once(np.concatenate(bits), FLOAT, np.float64)
+                texts = _format_once(np.concatenate(bits), _float_texts)
                 floats = iter(texts.reshape(len(bits), -1).tolist())
             cells = []
             for c, f in zip(block, is_float):
                 if f:
                     cells.append(next(floats))
                 elif isinstance(c, np.ndarray):
-                    cells.append(_format_once(c, "%s", c.dtype).tolist())
+                    cells.append(_format_once(
+                        c, lambda d: list(map(str, d.tolist()))).tolist())
                 else:
                     cells.append([str(v) for v in c])
             out.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
-def _format_once(keys, fmt, dtype):
-    """`fmt % v` for each key, v the key viewed as dtype, as an object
-    array: each distinct key is formatted once."""
+def _format_once(keys, texts_of):
+    """The text of each key, as an object array, from texts_of(distinct
+    keys): each distinct key is formatted once."""
     distinct, index = np.unique(keys, return_inverse=True)
-    texts = [fmt % v for v in distinct.view(dtype).tolist()]
-    return np.array(texts, dtype=object)[index]
+    return np.asarray(texts_of(distinct), dtype=object)[index]
 
 
 def _write_json(path, obj):

@@ -1,8 +1,10 @@
 """Reference for the CLI's CSV tables: the per-value writer that formats
 one value at a time, and `direct`'s per-node polar_map rows.
 
-The CLI formats each distinct value of a block of rows once; tests hold
-its files to these byte for byte.
+The CLI formats each distinct value of a block of rows once, and computes
+the digits of floats in `%.17g`'s fixed-notation range, 1e-4 <= |v| < 1e16,
+with integer arithmetic instead of calling `%.17g`; tests hold its files to
+these byte for byte, with `fmt` (`%.17g` per value) the definition.
 """
 
 

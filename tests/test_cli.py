@@ -1,7 +1,10 @@
 import json
+import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -527,6 +530,10 @@ SPECIAL_FLOATS = [0.0, -0.0, float("inf"), -float("inf"), float("nan"),
                   5e-324, -5e-324, 1e16, 1e-5, 1.0, -3.0, 2.0 ** 53, 0.1]
 
 
+# where the CLI's writer computes %.17g's digits itself
+FIXED_NOTATION = st.floats(1e-4, 1e16, exclude_max=True)
+
+
 @st.composite
 def csv_columns(draw):
     """Equal-length columns of floats, ints or strs, as lists or arrays."""
@@ -537,7 +544,8 @@ def csv_columns(draw):
         values = st.text()
         if kind == "float":
             values = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(),
-                               st.integers(-2 ** 60, 2 ** 60).map(float))
+                               st.integers(-2 ** 60, 2 ** 60).map(float),
+                               FIXED_NOTATION, FIXED_NOTATION.map(lambda x: -x))
         elif kind == "int":
             values = st.integers(-2 ** 63, 2 ** 63 - 1)
         col = draw(st.lists(values, min_size=n, max_size=n))
@@ -555,6 +563,32 @@ def two_blocks_and_one_row():
     n = 2 * cli.ROW_BLOCK + 1
     x = np.round(np.random.default_rng(3).standard_normal(n), 2)
     return [np.arange(n), x, -x, x.tolist(), np.sqrt(np.arange(n) % 7.0)]
+
+
+def float_texts(values):
+    """The CLI's texts of these floats, and %.17g's."""
+    values = np.asarray(values, dtype=np.float64)
+    got = cli._format_once(values.view(np.uint64), cli._float_texts).tolist()
+    return got, [csv_oracle.fmt(v) for v in values.tolist()]
+
+
+def next_to(values):
+    """The values and their neighbours one ulp down and up."""
+    values = np.asarray(values, dtype=np.float64)
+    return np.concatenate([np.nextafter(values, -np.inf), values,
+                           np.nextafter(values, np.inf)])
+
+
+def sweep_floats():
+    """About 250k floats: log-uniform magnitudes over [1e-6, 1e18] of both
+    signs, uniform bit patterns, and powers of ten and the edges of %.17g's
+    fixed notation with their neighbours."""
+    rng = np.random.default_rng(26)
+    mags = np.exp(rng.uniform(np.log(1e-6), np.log(1e18), 200_000))
+    bits = rng.integers(0, 2 ** 64, 50_000, dtype=np.uint64, endpoint=False)
+    edges = next_to([float(f"1e{k}") for k in range(-5, 18)] + [1e-4, 1e16])
+    return np.concatenate([mags * rng.choice([-1.0, 1.0], mags.size),
+                           bits.view(np.float64), edges, -edges])
 
 
 CSV_EDGE_TABLES = {
@@ -591,6 +625,17 @@ class TestCsvWriter:
         csv_oracle.write_csv(d / "rows.csv", meta, names, zip(*columns))
         assert (d / "columns.csv").read_bytes() == (d / "rows.csv").read_bytes()
 
+    @given(columns=csv_columns())
+    @settings(max_examples=200, deadline=None)
+    def test_same_bytes_with_every_block_through_numpy(self, tmp_path_factory,
+                                                        columns):
+        d = tmp_path_factory.mktemp("csv")
+        names = [f"c{k}" for k in range(len(columns))]
+        with mock.patch.object(cli, "VECTOR_FROM", 1):
+            cli._write_csv(d / "columns.csv", {}, names, columns)
+        csv_oracle.write_csv(d / "rows.csv", {}, names, zip(*columns))
+        assert (d / "columns.csv").read_bytes() == (d / "rows.csv").read_bytes()
+
     @pytest.mark.parametrize("table", sorted(CSV_EDGE_TABLES))
     def test_edge_cases_match_per_value_writer(self, tmp_path, table):
         columns = CSV_EDGE_TABLES[table]()
@@ -603,6 +648,43 @@ class TestCsvWriter:
         if table == "signed_zero":
             assert got.endswith(b"\n0,0,-0,-0\n-0,0,-0,0\n0,0,-0,-0\n"
                                 b"-0,0,-0,0\n")
+
+    def test_float_sweep_matches_per_value_format(self):
+        got, want = float_texts(sweep_floats())
+        bad = [(g, w) for g, w in zip(got, want) if g != w]
+        assert not bad, f"{len(bad)} mismatches, first {bad[:5]}"
+
+    def test_half_way_ties_round_to_even(self):
+        # v = k / 2**(F+1), k odd, in [10**(16-F), 10**(17-F)): %.17g's
+        # digits are v * 10**F = k * 5**F / 2, half-way between integers
+        rng = np.random.default_rng(27)
+        ties = []
+        for F in range(1, 21):
+            lo, hi = (math.ceil(Fraction(10) ** e * 2 ** (F + 1))
+                      for e in (16 - F, 17 - F))
+            m = rng.integers((lo + 1) // 2, (min(hi, 2 ** 53) - 1) // 2, 2000)
+            ties.append((2 * m + 1) / 2.0 ** (F + 1))
+        ties = np.concatenate(ties)
+        got, want = float_texts(np.concatenate([ties, -ties]))
+        assert got == want
+
+    def test_floats_read_back_to_the_same_bits(self, tmp_path):
+        # README: every float written to a CSV parses back to the same
+        # double; a NaN reads back as a NaN
+        values = np.concatenate([sweep_floats()[::10], SPECIAL_FLOATS])
+        cli._write_csv(tmp_path / "t.csv", {}, ["v"], [values])
+        lines = (tmp_path / "t.csv").read_text().splitlines()[1:]
+        back = np.array([float(x) for x in lines])
+        nan = np.isnan(values)
+        assert (np.isnan(back) == nan).all()
+        assert (back[~nan].view(np.uint64) == values[~nan].view(np.uint64)).all()
+
+    def test_columns_of_different_lengths_raise(self, tmp_path):
+        path = tmp_path / "t.csv"
+        with pytest.raises(ValueError, match=r"\[3, 2, 3\]"):
+            cli._write_csv(path, {}, ["a", "b", "c"],
+                           [np.zeros(3), [1.0, 2.0], ["x", "y", "z"]])
+        assert not path.exists()
 
     @pytest.fixture
     def recorded(self, monkeypatch):
@@ -623,13 +705,19 @@ class TestCsvWriter:
         monkeypatch.setattr(dc, "minimize_polar", capture)
         return tables, maps
 
-    # 96² writes every node; 256² every 4th node per axis
-    @pytest.mark.parametrize("grid", [96, 256])
-    @pytest.mark.parametrize("command", ["solve", "threshold", "direct",
-                                         "verify"])
+    # 96² writes every node; 256² every 4th node per axis.  The collapse
+    # config's table holds the Phi = 0 plateau and values below 1e-4.
+    @pytest.mark.parametrize("command, grid, weight, R_star", [
+        *(pytest.param(command, grid, BASE["weight"], 1.25,
+                       id=f"{command}-{grid}")
+          for command in ["direct", "solve", "threshold", "verify"]
+          for grid in [256, 96]),
+        pytest.param("solve", 96, {"kind": "power", "exponent": 1.0}, 1.05,
+                     id="collapse-solve-96")])
     def test_artifacts_match_per_value_writer(self, tmp_path, recorded,
-                                              command, grid):
-        cfg = dict(BASE, rho_values=[1.5, 2.0, 5.0],
+                                              command, grid, weight, R_star):
+        cfg = dict(BASE, weight=weight, rho_values=[1.5, 2.0, 5.0],
+                   pair=dict(BASE["pair"], R_star=R_star),
                    numerics={"ode_grid": 4096, "polar_grid": [grid, grid],
                              "max_iter": 200, "seed": 7})
         p = write_config(tmp_path, cfg)
@@ -637,6 +725,9 @@ class TestCsvWriter:
         assert cli.main([command, "--config", str(p), "--out", str(out)]) == 0
         tables, maps = recorded
         [(path, meta, names, columns)] = tables
+        if R_star == 1.05:   # some floats take the per-value fallback
+            phi = np.asarray(columns[names.index("phi")])
+            assert (phi == 0).any() and ((0 < phi) & (phi < 1e-4)).any()
         rows = zip(*columns)
         if command == "direct":
             rows = csv_oracle.polar_map_rows(maps[0])
