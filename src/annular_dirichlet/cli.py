@@ -129,9 +129,8 @@ def _is_int(x):
 
 
 def _check_numerics(num):
-    _need(_is_int(num["seed"]), "numerics.seed", "an explicit integer",
-          num["seed"])
-    for key, least in (("ode_grid", 16), ("radial_grid", 3), ("max_iter", 1)):
+    for key, least in (("seed", 0), ("ode_grid", 16), ("radial_grid", 3),
+                       ("max_iter", 1)):
         _need(_is_int(num[key]) and num[key] >= least, f"numerics.{key}",
               f"an integer >= {least}", num[key])
     grid = num["polar_grid"]
@@ -454,11 +453,11 @@ def main(argv=None):
         raw = with_overrides(cfg["raw"], args.seed, args.grid, args.mode)
         if raw != cfg["raw"]:
             cfg = parse_config(raw)
+        out = _out_dir(cfg, args.out)
+        _echo_config(cfg, out)
     except (ConfigError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    out = _out_dir(cfg, args.out)
-    _echo_config(cfg, out)
     written_before = set(out.iterdir())
     try:
         if "pair" not in cfg and args.command in ("solve", "energy", "direct"):

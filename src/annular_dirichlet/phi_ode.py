@@ -27,6 +27,7 @@ from .weights import Weight
 
 DEFAULT_N = 4096
 RESIDUAL_TOL = 1e-9
+FD_STENCIL = 5      # fd_derivative's stencil width
 
 
 class AccuracyError(RuntimeError):
@@ -76,13 +77,13 @@ class OdeGrid:
             n += 1  # Simpson quadrature needs an even interval count
         self.w = w
         self.n = n
-        self.t = np.linspace(np.log(r), np.log(R), n + 1)
-        self.h = (self.t[-1] - self.t[0]) / n
-        self.s = np.exp(self.t)
-        self.s[0], self.s[-1] = r, R
+        # nodes: every other point of the half-step grid (half the node step),
+        # so linspace(ln r, ln R, n + 1) bit for bit; contiguous for w(s)
         t_fine = np.linspace(np.log(r), np.log(R), 2 * n + 1)
         s_fine = np.exp(t_fine)
         s_fine[0], s_fine[-1] = r, R
+        self.t, self.s = t_fine[::2].copy(), s_fine[::2].copy()
+        self.h = (self.t[-1] - self.t[0]) / n
         lam_fine = np.asarray(w(s_fine), dtype=float)
         self.lam = lam_fine[::2]          # at nodes
         self.lam_half = lam_fine[1::2]    # at midpoints
@@ -193,11 +194,11 @@ def _ode_residual(g: OdeGrid, H, q):
 
 
 def fd_derivative(y, h):
-    """Fourth-order finite-difference derivative on a uniform grid."""
+    """Fourth-order finite differences on >= FD_STENCIL uniform samples."""
     y = np.asarray(y, dtype=float)
-    n = len(y)
-    if n < 6:
-        return np.gradient(y, h)
+    if len(y) < FD_STENCIL:
+        raise ValueError(
+            f"fd_derivative needs at least {FD_STENCIL} samples, got {len(y)}")
     d = np.empty_like(y)
     d[2:-2] = (y[:-4] - 8 * y[1:-3] + 8 * y[3:-1] - y[4:]) / (12 * h)
     # one-sided 4th order at the two nodes next to each boundary

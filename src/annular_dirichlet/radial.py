@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .phi_ode import (DEFAULT_N, AccuracyError, OdeGrid, PhiSolution,
-                      RadialProfile, _kink, _simpson, fd_derivative,
-                      recover_H, solve_phi_tilde)
+from .phi_ode import (DEFAULT_N, FD_STENCIL, AccuracyError, OdeGrid,
+                      PhiSolution, RadialProfile, _kink, _simpson,
+                      fd_derivative, recover_H, solve_phi_tilde)
 from .weights import Weight
 
 MODULUS_TOL = 1e-10
@@ -73,14 +73,14 @@ class RadialSolution:
 
 @dataclass
 class CertificateReport:
+    """Least margins and largest identity residual of the tau-identity
+    certificate on the nodes on [r0, R]."""
     c: float
-    tau: np.ndarray
     margin_tau: float
     margin_tau_dot: float
     margin_angular: float      # lambda/s - tau_dot
     margin_radial: float       # s*lambda - c/Hdot
     identity_residual: float   # |(lambda/s - tau_dot)(s lambda - c/Hdot) - tau^2|
-    obs2_residual: float       # FixedBoundaryCoeffs.residual
 
 
 @dataclass
@@ -91,9 +91,9 @@ class FixedBoundaryCoeffs:
     residual: float      # max |d rho1/ds - rho2| where the ODE holds
 
 
-def find_initial_value(w: Weight, pair: AnnulusPair, n=DEFAULT_N,
-                       grid: OdeGrid | None = None):
-    """Initial value phi0 whose target modulus matches the annulus pair.
+def find_initial_value(grid: OdeGrid, pair: AnnulusPair):
+    """Initial value phi0 whose target modulus matches the annulus pair, on
+    `grid`, the OdeGrid of the pair's domain and the weight.
 
     Case 1 (phi0 >= 0): the path never clamps and H = h0 + phi0 h1 ends
     at R*/r*, so phi0 = (R*/r* - h0(R)) / h1(R).  Case 2: safeguarded
@@ -103,20 +103,19 @@ def find_initial_value(w: Weight, pair: AnnulusPair, n=DEFAULT_N,
     bisects it.  dphi_tilde/dphi0 = (h0 q1 - h1 q0)/H^2, so dm/dphi0 is the
     modulus of that on the nodes where phi_tilde > 0.
     """
-    g = grid if grid is not None else OdeGrid(w, pair.r, pair.R, n)
-    h0, h1, q0, q1 = g.columns
+    h0, h1, q0, q1 = grid.columns
     phi0 = (pair.R_star / pair.r_star - h0[-1]) / h1[-1]
     if phi0 >= 0:
         return float(phi0)
     target = pair.mod_target
     wronskian = h0 * q1 - h1 * q0
-    lo, hi = -g.lam_max, 0.0
-    scale = max(1.0, g.lam_max)
+    lo, hi = -grid.lam_max, 0.0
+    scale = max(1.0, grid.lam_max)
     while hi - lo > PHI0_INTERVAL_TOL * scale:
         if not lo < phi0 < hi:
             phi0 = 0.5 * (lo + hi)
-        y = g.integrate(phi0)
-        m = g.modulus(np.maximum(0.0, y))
+        y = grid.integrate(phi0)
+        m = grid.modulus(np.maximum(0.0, y))
         if abs(m - target) <= MODULUS_TOL:
             return float(phi0)
         if m < target:
@@ -125,7 +124,7 @@ def find_initial_value(w: Weight, pair: AnnulusPair, n=DEFAULT_N,
             hi = phi0
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             H = h0 + phi0 * h1
-            dm = g.modulus(np.where(y > 0, wronskian / (H * H), 0.0))
+            dm = grid.modulus(np.where(y > 0, wronskian / (H * H), 0.0))
         phi0 = phi0 - (m - target) / dm if dm > 0 else hi
     return float(0.5 * (lo + hi))
 
@@ -133,7 +132,7 @@ def find_initial_value(w: Weight, pair: AnnulusPair, n=DEFAULT_N,
 def build(w: Weight, pair: AnnulusPair, n=DEFAULT_N):
     """Construct the radial minimizer end to end for the given pair."""
     grid = OdeGrid(w, pair.r, pair.R, n)
-    phi0 = find_initial_value(w, pair, grid=grid)
+    phi0 = find_initial_value(grid, pair)
     p = solve_phi_tilde(w, pair.r, pair.R, phi0, grid=grid)
     profile = recover_H(p, w, pair.r_star)
     # pin the outer target radius exactly; the modulus already matches to tol
@@ -144,7 +143,7 @@ def build(w: Weight, pair: AnnulusPair, n=DEFAULT_N):
     case = CASE1 if phi0 >= 0 else CASE2
     sol = RadialSolution(pair=pair, phi=p, profile=profile, case_tag=case,
                          energy=0.0)
-    sol.energy = energy_closed_form(sol, w)
+    sol.energy = energy_closed_form(sol)
     return sol
 
 
@@ -222,8 +221,9 @@ def _threshold_g(g: OdeGrid):
     return float(ratio * np.exp(_simpson(y[j:] / g.lam[j:], g.h)))
 
 
-def energy_closed_form(sol: RadialSolution, w: Weight):
-    """Minimal energy of the pair from the boundary values of Phi.
+def energy_closed_form(sol: RadialSolution):
+    """Minimal energy of the pair from the boundary values of Phi, with
+    the weight of the solution's grid.
 
     Case 1: 2 pi (R*^2 Phi(R) - r*^2 Phi(r)).
     Case 2: 2 pi R*^2 Phi(R) + 2 pi r*^2 int_r^{r0} lambda/s ds.
@@ -235,41 +235,43 @@ def energy_closed_form(sol: RadialSolution, w: Weight):
         return float(2 * np.pi * (pair.R_star ** 2 * phiR
                                   - pair.r_star ** 2 * phir))
     t = np.linspace(np.log(pair.r), np.log(sol.r0), 2049)
-    lam = np.asarray(w(np.minimum(np.exp(t), pair.R)), dtype=float)
+    lam = np.asarray(sol.phi.grid.w(np.minimum(np.exp(t), pair.R)), dtype=float)
     collapse = _simpson(lam, t[1] - t[0])
     return float(2 * np.pi * (pair.R_star ** 2 * phiR
                               + pair.r_star ** 2 * collapse))
 
 
-def _smooth_start(sol: RadialSolution):
-    """First grid index from which the unclamped ODE holds (s >= r0)."""
-    if sol.case_tag == CASE1:
-        return 0
-    return int(np.searchsorted(sol.phi.s, sol.r0, side="left"))
+def _smooth_range(sol: RadialSolution):
+    """The grid nodes on [r0, R], where the unclamped ODE holds, as a slice;
+    AccuracyError when fewer than fd_derivative's stencil remain."""
+    s = sol.phi.s
+    i0 = int(np.searchsorted(s, sol.r0))   # r0 = s[0] in case 1
+    if len(s) - i0 < FD_STENCIL:
+        raise AccuracyError(
+            f"{len(s) - i0} grid node(s) on [r0, R] from r0 = {sol.r0!r}, "
+            f"fewer than the {FD_STENCIL} of the derivative stencil")
+    return slice(i0, None)
 
 
 def claim1_certificate(sol: RadialSolution, w: Weight):
     """Margins and residuals for the tau-identity certificate.
 
     Requires a nondecreasing weight.  The constant is c = H(r) Phi(r)
-    (zero in the collapsing case).  Derivatives are 4th-order finite
-    differences restricted to the range where the unclamped ODE holds.
+    (zero in the collapsing case).  Everything is evaluated on the nodes
+    on [r0, R] (`_smooth_range`), where the unclamped ODE holds; tau_dot
+    is a 4th-order finite difference there.
     """
     if not w.is_nondecreasing():
         raise CertificateError(
             "certificate requires a nondecreasing weight")
-    s = sol.phi.s
-    h = sol.phi.t[1] - sol.phi.t[0]
+    smooth = _smooth_range(sol)
+    c = float(sol.profile.H[0] * sol.phi.phi[0])
+    s = sol.phi.s[smooth]
     lam = np.asarray(w(s), dtype=float)
-    phi = sol.phi.phi
-    H = sol.profile.H
-    c = float(H[0] * phi[0])
+    phi = sol.phi.phi[smooth]
+    H = sol.profile.H[smooth]
     tau = phi - c / H
-
-    i0 = _smooth_start(sol)
-    tau_dot = np.zeros_like(tau)
-    if len(tau) - i0 >= 6:
-        tau_dot[i0:] = fd_derivative(tau[i0:], h) / s[i0:]
+    tau_dot = fd_derivative(tau, sol.phi.t[1] - sol.phi.t[0]) / s
     ang = lam / s - tau_dot
 
     if c == 0.0:
@@ -280,17 +282,13 @@ def claim1_certificate(sol: RadialSolution, w: Weight):
         # where Hdot is tiny, and H*Phi >= c by the monotonicity of H*Phi
         rad = s * lam * (1.0 - c / (H * phi))
 
-    ident = np.abs(ang[i0:] * rad[i0:] - tau[i0:] ** 2)
-
     report = CertificateReport(
         c=c,
-        tau=tau,
-        margin_tau=float(np.min(tau[i0:])),
-        margin_tau_dot=float(np.min(tau_dot[i0:])),
-        margin_angular=float(np.min(ang[i0:])),
-        margin_radial=float(np.min(rad[i0:])),
-        identity_residual=float(np.max(ident)),
-        obs2_residual=fixed_boundary_coefficients(sol, w).residual,
+        margin_tau=float(np.min(tau)),
+        margin_tau_dot=float(np.min(tau_dot)),
+        margin_angular=float(np.min(ang)),
+        margin_radial=float(np.min(rad)),
+        identity_residual=float(np.max(np.abs(ang * rad - tau ** 2))),
     )
     margins = [report.margin_tau, report.margin_tau_dot,
                report.margin_angular, report.margin_radial]
@@ -302,16 +300,17 @@ def claim1_certificate(sol: RadialSolution, w: Weight):
 
 def fixed_boundary_coefficients(sol: RadialSolution, w: Weight):
     """Coefficients of the fixed-outer-boundary estimate and their identity
-    residual d(Phi H)/ds = lambda H / s on the range where the ODE holds."""
+    residual d(Phi H)/ds = lambda H / s on the nodes on [r0, R]
+    (`_smooth_range`), where the ODE holds."""
     s = sol.phi.s
-    h = sol.phi.t[1] - sol.phi.t[0]
     lam = np.asarray(w(s), dtype=float)
     phi = sol.phi.phi
     H = sol.profile.H
     g = phi ** 2 / (phi ** 2 + lam ** 2)
     rho1 = phi * H
     rho2 = lam * H / s
-    i0 = _smooth_start(sol)
-    rho1_dot = fd_derivative(rho1[i0:], h) / s[i0:]
-    residual = float(np.max(np.abs(rho1_dot - rho2[i0:])))
+    smooth = _smooth_range(sol)
+    h = sol.phi.t[1] - sol.phi.t[0]
+    rho1_dot = fd_derivative(rho1[smooth], h) / s[smooth]
+    residual = float(np.max(np.abs(rho1_dot - rho2[smooth])))
     return FixedBoundaryCoeffs(g=g, rho1=rho1, rho2=rho2, residual=residual)

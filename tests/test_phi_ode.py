@@ -92,6 +92,24 @@ class TestOdeGrid:
         with pytest.raises(ValueError, match=message):
             po.OdeGrid(Weight.constant(1.0, 1.0, 2.0), r, R, n)
 
+    def test_nodes_are_the_linspace_and_its_exp(self):
+        # t and s are every other point of the half-step grid; they must be
+        # linspace(ln r, ln R, n + 1) and its exp, ends pinned, bit for bit
+        rng = np.random.default_rng(7)
+        intervals = [(1.0, 2.0), (1.0, 3.0), (0.5, 50.0), (1.3, 6.1),
+                     (1.0, 1.0 + 1e-9)]
+        intervals += [(r, r * 10 ** rng.uniform(1e-6, 3))
+                      for r in 10 ** rng.uniform(-3, 2, 40)]
+        for r, R in intervals:
+            w = Weight.constant(1.0, r, R)
+            for n in (16, 18, 100, 1000, 1024, 4096, 8194):
+                grid = po.OdeGrid(w, r, R, n)
+                t = np.linspace(np.log(r), np.log(R), n + 1)
+                s = np.exp(t)
+                s[0], s[-1] = r, R
+                assert grid.t.tobytes() == t.tobytes(), (r, R, n)
+                assert grid.s.tobytes() == s.tobytes(), (r, R, n)
+
     @pytest.mark.parametrize("name", ["1", "s", "1/s", "2+sin4s", "s^0.37"])
     def test_node_weights_are_the_weight_at_the_nodes(self, name):
         # solve's lambda column is grid.lam: the even nodes of the fine grid
@@ -257,6 +275,17 @@ class TestRecoverH:
 
 
 class TestNumericalKernels:
+    @pytest.mark.parametrize("n", [0, 1, 4])
+    def test_fd_derivative_needs_the_stencil(self, n):
+        with pytest.raises(ValueError, match="at least 5 samples"):
+            po.fd_derivative(np.ones(n), 0.1)
+
+    def test_fd_derivative_on_the_stencil_width(self):
+        # five samples: the one-sided and central stencils, exact on quartics
+        x = 0.1 * np.arange(5)
+        d = po.fd_derivative(x ** 4 - x, 0.1)
+        np.testing.assert_allclose(d, 4 * x ** 3 - 1, atol=1e-12)
+
     def test_fd_derivative_fourth_order(self):
         x = np.linspace(0.0, 1.0, 101)
         errs = []

@@ -45,15 +45,15 @@ class TestFindInitialValue:
         for pair in (rd.AnnulusPair(1, 2, 1, 1.25),
                      rd.AnnulusPair(1, 2, 1, 2.0),
                      rd.AnnulusPair(1, 2, 1, 1.02)):
-            phi0 = rd.find_initial_value(w, pair, grid=grid)
+            phi0 = rd.find_initial_value(grid, pair)
             phi = np.maximum(0.0, grid.integrate(phi0))
             mod = grid.modulus(phi)
             assert abs(mod - pair.mod_target) <= rd.MODULUS_TOL
 
     def test_sign_encodes_case(self):
-        w = unit()
-        phi0_wide = rd.find_initial_value(w, rd.AnnulusPair(1, 2, 1, 2.0))
-        phi0_thin = rd.find_initial_value(w, rd.AnnulusPair(1, 2, 1, 1.02))
+        grid = OdeGrid(unit(), 1.0, 2.0)
+        phi0_wide = rd.find_initial_value(grid, rd.AnnulusPair(1, 2, 1, 2.0))
+        phi0_thin = rd.find_initial_value(grid, rd.AnnulusPair(1, 2, 1, 1.02))
         assert phi0_wide > 0          # expanding target: no collapse
         assert phi0_thin < 0          # thin target: collapse regime
 
@@ -75,7 +75,8 @@ def test_case1_initial_value_matches_power_closed_form(p, c, rho, f):
     # (first example) and 8.7e-9 at worst
     ratio = f * power_oracle.threshold_m(p, rho)
     w = Weight.power(p, 1.0, rho, value=c)
-    phi0 = rd.find_initial_value(w, rd.AnnulusPair(1.0, rho, 1.0, ratio))
+    phi0 = rd.find_initial_value(OdeGrid(w, 1.0, rho),
+                                 rd.AnnulusPair(1.0, rho, 1.0, ratio))
     exact = c * power_oracle.initial_value(p, rho, ratio)
     assert abs(phi0 - exact) <= 1e-10 * max(c, abs(exact))
 
@@ -104,7 +105,7 @@ def test_case2_initial_value_meets_the_modulus_contract(p, c, rho, f):
     grid = CountingGrid(w, 1.0, rho)
     ratio = 1.0 + f * (grid.columns[0][-1] - 1.0)
     pair = rd.AnnulusPair(1.0, rho, 1.0, ratio)
-    phi0 = rd.find_initial_value(w, pair, grid=grid)
+    phi0 = rd.find_initial_value(grid, pair)
     # the worst of 13000 draws (random, corners and small f) took 15
     # paths (first example); the bisection took up to 38
     assert grid.calls <= 16
@@ -319,14 +320,14 @@ class TestThresholds:
 class TestEnergyClosedForm:
     def test_case1(self):
         sol = rd.build(unit(), rd.AnnulusPair(1, 2, 1, 1.25))
-        e = rd.energy_closed_form(sol, unit())
+        e = rd.energy_closed_form(sol)
         assert e == pytest.approx(15 * np.pi / 8, abs=1e-8)
         assert sol.energy == pytest.approx(e, rel=1e-10)
 
     def test_case2(self):
         pair = rd.AnnulusPair(1, 2, 1, 3 / (2 * np.sqrt(2)))
         sol = rd.build(unit(), pair)
-        e = rd.energy_closed_form(sol, unit())
+        e = rd.energy_closed_form(sol)
         assert e == pytest.approx(2 * np.pi * (3 / 8 + np.log(2) / 2),
                                   abs=1e-7)
 
@@ -340,7 +341,7 @@ class TestCertificate:
         assert rep.margin_angular >= -1e-10
         assert rep.margin_radial >= -1e-10
         assert rep.identity_residual <= 1e-9
-        assert rep.obs2_residual <= 1e-9
+        assert rd.fixed_boundary_coefficients(sol, unit()).residual <= 1e-9
 
     def test_increasing_weight_case2(self):
         w = Weight.power(1.0, 1.0, 2.0)
@@ -356,6 +357,19 @@ class TestCertificate:
         sol = rd.build(w, rd.AnnulusPair(1, 2, 1, 1.5))
         with pytest.raises(rd.CertificateError):
             rd.claim1_certificate(sol, w)
+
+    @pytest.mark.parametrize("eps", [1e-8, 1e-9])
+    def test_thin_collapse_leaves_too_few_smooth_nodes(self, eps):
+        # r0 lies within 2 nodes of R at n=4096: a certificate there would
+        # read a one-sided difference over the kink (eps = 1e-8) or fail
+        # inside numpy (eps = 1e-9), so both raise a typed error
+        w = unit()
+        sol = rd.build(w, rd.AnnulusPair(1, 2, 1, 1 + eps), n=4096)
+        assert sol.case_tag == rd.CASE2
+        with pytest.raises(AccuracyError, match=r"grid node\(s\) on \[r0, R\]"):
+            rd.claim1_certificate(sol, w)
+        with pytest.raises(AccuracyError, match=r"fewer than the 5"):
+            rd.fixed_boundary_coefficients(sol, w)
 
 
 class TestFixedBoundaryCoefficients:
