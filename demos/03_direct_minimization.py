@@ -1,12 +1,11 @@
 """Direct energy minimization, 1-D and 2-D, against the closed form.
 
-The 1-D path minimizes over radial profiles H(s) >= r* with banded
-solves (one when the profile stays above r*, a bisection on the contact
-index of the collapse plateau otherwise).  The 2-D path minimizes over full
-polar-grid maps with the boundary rows on the target circles, started
-from a smooth random perturbation of the embedded radial minimizer: the
-interior is eliminated exactly, mode by mode, and the descent moves only
-the two boundary rows.  Neither ever beats the closed form, and both
+The 1-D path minimizes over radial profiles H(s) >= r* with one banded
+solve, which also gives the contact index of a collapse plateau.  The 2-D
+path minimizes over full polar-grid maps with the boundary rows on the
+target circles, started from a smooth random perturbation of the embedded
+radial minimizer: the interior is eliminated exactly, mode by mode, and
+the descent moves only the two boundary rows.  Neither ever beats the closed form, and both
 approach it from above.
 """
 

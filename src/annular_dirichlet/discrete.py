@@ -170,6 +170,32 @@ def cell_weights(w: Weight, t, R):
     return np.asarray(w(s_mid), dtype=float)
 
 
+def _reduce(diag, off):
+    """Exact elimination of the interior nodes of tridiagonal blocks B with
+    rows (diag, off) of `CylinderForm.block`.
+
+    Returns (Z, S), Z of shape (blocks, nodes - 2, 2) and S of shape
+    (blocks, 2, 2).  Split B into the end nodes and the interior: for end
+    values b the interior minimizer is -Z b with Z = B_II^{-1} B_IB, and
+    the minimum is b^H S b with the Schur complement S = B_BB - B_BI Z.
+    The interior blocks are solved as one banded system.
+    """
+    modes, n = diag.shape[0], diag.shape[1] - 2
+    ab = np.zeros((2, modes, n))    # upper form; 0 couples the blocks
+    ab[0, :, 1:] = off[:, 1:-1]
+    ab[1] = diag[:, 1:-1]
+    rhs = np.zeros((modes, n, 2))
+    rhs[:, 0, 0] = off[:, 0]
+    rhs[:, -1, 1] = off[:, -1]
+    Z = solveh_banded(ab.reshape(2, modes * n),
+                      rhs.reshape(modes * n, 2)).reshape(modes, n, 2)
+    S = np.empty((modes, 2, 2))
+    S[:, 0, 0] = diag[:, 0] - off[:, 0] * Z[:, 0, 0]
+    S[:, 0, 1] = S[:, 1, 0] = -off[:, 0] * Z[:, 0, 1]
+    S[:, 1, 1] = diag[:, -1] - off[:, -1] * Z[:, -1, 1]
+    return Z, S
+
+
 class CylinderForm:
     """The weighted cylinder form E(h) = dt dtheta sum lambda_{i+1/2}
     (|D_t h|^2 + |D_theta h|^2) of `cell_diffs`, for the cell weights lam.
@@ -251,31 +277,10 @@ class CylinderForm:
         return top * self.dtheta / np.pi
 
     def boundary_reduction(self):
-        """Exact elimination of the interior rows, mode by mode, for the
-        distinct modes k = 0 .. ntheta // 2 (B_k = B_{ntheta - k}).
-
-        Returns (Z, S), Z of shape (modes, ns - 2, 2) and S of shape
-        (modes, 2, 2).  Split B_k into the boundary nodes 0, ns - 1 and
-        the interior: for boundary values b the interior minimizer is
-        -Z[k] b with Z[k] = B_II^{-1} B_IB, and the minimum is b^H S[k] b
-        with the Schur complement S[k] = B_BB - B_BI Z[k].  The interior
-        blocks of all modes are solved as one banded system.
-        """
-        diag, off = self.block(np.arange(self.ntheta // 2 + 1))
-        modes, n = diag.shape[0], diag.shape[1] - 2
-        ab = np.zeros((2, modes, n))    # upper form; 0 couples the blocks
-        ab[0, :, 1:] = off[:, 1:-1]
-        ab[1] = diag[:, 1:-1]
-        rhs = np.zeros((modes, n, 2))
-        rhs[:, 0, 0] = off[:, 0]
-        rhs[:, -1, 1] = off[:, -1]
-        Z = solveh_banded(ab.reshape(2, modes * n),
-                          rhs.reshape(modes * n, 2)).reshape(modes, n, 2)
-        S = np.empty((modes, 2, 2))
-        S[:, 0, 0] = diag[:, 0] - off[:, 0] * Z[:, 0, 0]
-        S[:, 0, 1] = S[:, 1, 0] = -off[:, 0] * Z[:, 0, 1]
-        S[:, 1, 1] = diag[:, -1] - off[:, -1] * Z[:, -1, 1]
-        return Z, S
+        """Exact elimination of the interior rows (`_reduce`), mode by mode,
+        for the distinct modes k = 0 .. ntheta // 2 (B_k = B_{ntheta - k}):
+        Z of shape (modes, ns - 2, 2) and S of shape (modes, 2, 2)."""
+        return _reduce(*self.block(np.arange(self.ntheta // 2 + 1)))
 
     def radial_energy(self, H):
         """Energy of h = H(t) e^{i theta}, from the differences of H."""
@@ -304,12 +309,16 @@ def minimize_radial(w: Weight, pair: rd.AnnulusPair, n=2048):
     H(r) = r_star, H(R) = R_star: B_1 of the cylinder form at dtheta = 0.
     An ODE-independent oracle for the radial minimizer.
 
-    With both ends pinned one banded solve gives the minimizer if it
-    stays above r_star.  Otherwise H = r_star up to the last contact
-    index, the smallest whose pinned solve leaves r_star upwards, found
-    by bisection.  The KKT multipliers on the contact set must be
-    nonnegative and H monotone (FeasibilityError otherwise).
-    rep.iterations counts the banded solves.
+    One banded solve (`_reduce`) gives X and Y, the solutions of the
+    interior equations with end values (1, 0) and (0, 1).  Pinned to
+    H_j = r_star and H_n = R_star the solution on nodes j..n is
+    a_j X + R_star Y, a_j = (r_star - R_star Y_j) / X_j, so its next
+    value is read off for every contact index j at once.  H = r_star up
+    to the contact index, the least j whose next value is >= r_star.
+    While H > 0 the flux lambda H_t grows, so j = 0 exactly when
+    r_star X + R_star Y stays above r_star.  The KKT multipliers
+    on the contact set must be nonnegative and H monotone
+    (FeasibilityError otherwise).  rep.iterations is the one solve.
     """
     if n < 3:
         raise ValueError(f"minimize_radial needs n >= 3 cells, got {n}")
@@ -318,32 +327,15 @@ def minimize_radial(w: Weight, pair: rd.AnnulusPair, n=2048):
     s[0], s[-1] = pair.r, pair.R
     form = CylinderForm(cell_weights(w, t, pair.R), (t[-1] - t[0]) / n, 0.0)
     diag, off = form.block(1)
-    floor = np.full(n + 1, float(pair.r_star))
-    floor[-1] = pair.R_star
-
-    def pinned(j):
-        """Minimizer with H = r_star on nodes 0..j and H(R) = R_star."""
-        ab = np.zeros((2, n - j - 1))
-        ab[0, 1:] = off[j + 1:-1]
-        ab[1] = diag[j + 1:-1]
-        rhs = np.zeros(n - j - 1)
-        rhs[0] -= off[j] * floor[j]
-        rhs[-1] -= off[-1] * floor[-1]
-        H = floor.copy()
-        H[j + 1:-1] = solveh_banded(ab, rhs)
-        return H
-
-    H, j, solves = pinned(0), 0, 1
-    if H.min() < pair.r_star:
-        lo, j, H = 0, n - 1, floor      # contact through n - 1 is feasible
-        while j - lo > 1:
-            mid = (lo + j) // 2
-            cand = pinned(mid)
-            solves += 1
-            if cand[mid + 1] >= pair.r_star:
-                j, H = mid, cand
-            else:
-                lo = mid
+    X, Y = np.zeros((2, n + 1))
+    X[0], Y[-1] = 1.0, 1.0
+    X[1:-1], Y[1:-1] = -_reduce(diag[None], off[None])[0][0].T
+    r_star, R_star = pair.r_star, pair.R_star
+    a = (r_star - R_star * Y[:-1]) / X[:-1]
+    feasible = a * X[1:] + R_star * Y[1:] >= r_star
+    j = int(np.argmax(feasible))
+    H = a[j] * X + R_star * Y
+    H[:j + 1] = r_star
     grad = 2 * diag * H
     grad[1:] += 2 * off * H[:-1]
     grad[:-1] += 2 * off * H[1:]
@@ -353,7 +345,7 @@ def minimize_radial(w: Weight, pair: rd.AnnulusPair, n=2048):
     if np.any(np.diff(H) < 0):
         raise FeasibilityError("radial minimizer is not monotone")
     return RadialVector(s=s, H=H), EnergyReport(form.radial_energy(H),
-                                                iterations=solves)
+                                                iterations=1)
 
 
 # ---------------------------------------------------------------------------

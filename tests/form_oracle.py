@@ -9,6 +9,8 @@ to h = H(t) e^{i theta} the form is a 1-D quadratic in H,
                                        + sinc^2(dtheta/2) Hm_i^2],
 
 built here from that formula alone and minimized with both ends pinned.
+`radial_obstacle_minimum` minimizes it over H >= r_star instead, by a
+pinned solve for every contact index.
 """
 
 import numpy as np
@@ -50,9 +52,9 @@ def gradient(h, lamc, dt, dtheta):
     return 2 * dt * dtheta * (Gt + Gth)
 
 
-def radial_minimum(lam, dt, dtheta, r_star, R_star):
-    """Minimum of E(H) over profiles with H[0] = r_star, H[-1] = R_star
-    (lam: the ns - 1 cell weights).  Returns (H, E)."""
+def _radial_form(lam, dt, dtheta):
+    """(diag, off, energy): the tridiagonal rows of E(H) up to the factor
+    2 pi dt, and E itself (lam: the ns - 1 cell weights)."""
     c = np.cos(dtheta / 2) ** 2
     d = np.sinc(dtheta / (2 * np.pi)) ** 2
     # E = 2 pi dt sum lam (c (H_{i+1} - H_i)^2 / dt^2 + d (H_i + H_{i+1})^2 / 4)
@@ -61,16 +63,52 @@ def radial_minimum(lam, dt, dtheta, r_star, R_star):
     diag = np.zeros(lam.size + 1)
     diag[:-1] += a
     diag[1:] += a
-    H = np.empty(lam.size + 1)
-    H[0], H[-1] = r_star, R_star
-    ab = np.zeros((2, lam.size - 1))
-    ab[0, 1:] = off[1:-1]
-    ab[1] = diag[1:-1]
-    rhs = np.zeros(lam.size - 1)
-    rhs[0] -= off[0] * r_star
-    rhs[-1] -= off[-1] * R_star
-    H[1:-1] = solveh_banded(ab, rhs)
-    slope = np.diff(H) / dt
-    Hm = 0.5 * (H[1:] + H[:-1])
-    E = 2 * np.pi * dt * float(np.sum(lam * (c * slope ** 2 + d * Hm ** 2)))
-    return H, E
+
+    def energy(H):
+        slope = np.diff(H) / dt
+        Hm = 0.5 * (H[1:] + H[:-1])
+        return 2 * np.pi * dt * float(np.sum(lam * (c * slope ** 2
+                                                    + d * Hm ** 2)))
+    return diag, off, energy
+
+
+def _pinned(diag, off, first, last):
+    """Stationary H of the rows (diag, off) with H[0] = first and
+    H[-1] = last; a one-node interior is solved as a scalar."""
+    H = np.empty(diag.size)
+    H[0], H[-1] = first, last
+    if diag.size == 3:
+        H[1] = -(off[0] * first + off[1] * last) / diag[1]
+    elif diag.size > 3:
+        ab = np.zeros((2, diag.size - 2))
+        ab[0, 1:] = off[1:-1]
+        ab[1] = diag[1:-1]
+        rhs = np.zeros(diag.size - 2)
+        rhs[0] -= off[0] * first
+        rhs[-1] -= off[-1] * last
+        H[1:-1] = solveh_banded(ab, rhs)
+    return H
+
+
+def radial_minimum(lam, dt, dtheta, r_star, R_star):
+    """Minimum of E(H) over profiles with H[0] = r_star, H[-1] = R_star
+    (lam: the ns - 1 cell weights).  Returns (H, E)."""
+    diag, off, energy = _radial_form(lam, dt, dtheta)
+    H = _pinned(diag, off, r_star, R_star)
+    return H, energy(H)
+
+
+def radial_obstacle_minimum(lam, dt, dtheta, r_star, R_star):
+    """Minimum of E(H) over profiles H >= r_star with H[0] = r_star,
+    H[-1] = R_star, among those equal to r_star on nodes 0..j and
+    stationary on the rest, for every contact index j.  Returns
+    (H, E, j)."""
+    diag, off, energy = _radial_form(lam, dt, dtheta)
+    feasible = []
+    for j in range(lam.size):
+        H = np.full(lam.size + 1, float(r_star))
+        H[j:] = _pinned(diag[j:], off[j:], r_star, R_star)
+        if H.min() >= r_star:
+            feasible.append((energy(H), j, H))
+    E, j, H = min(feasible, key=lambda c: c[0])
+    return H, E, j

@@ -281,7 +281,7 @@ class TestDirectCommand:
         assert d["closed_form"] == pytest.approx(exact, rel=1e-6)
         assert d["polar_minimized"] >= exact * (1 - 5e-3)
         assert d["polar_converged"] is True
-        # the unit pair does not collapse: one pinned banded solve
+        # the 1-D minimizer makes one banded solve, collapsing pair or not
         assert d["radial_solves"] == 1
         assert (tmp_path / "polar_map.csv").exists()
 
@@ -306,6 +306,23 @@ class TestVerifyCommand:
         for row in rows:
             rel = float(row.split(",")[-1])
             assert rel < 1e-2
+
+    def test_failed_identity_is_reported(self, tmp_path, capsys):
+        # a 4 x 8 grid is too coarse for the identities: exit 1, with the
+        # worst row of verify.csv named on stderr and the CSV kept
+        cfg = dict(BASE, numerics=dict(BASE["numerics"], polar_grid=[4, 8]))
+        p = write_config(tmp_path, cfg)
+        rc = cli.main(["verify", "--config", str(p), "--out", str(tmp_path)])
+        assert rc == 1
+        rows = [ln.split(",") for ln in
+                (tmp_path / "verify.csv").read_text().splitlines()
+                if not ln.startswith("#")][1:]
+        worst = max(rows, key=lambda row: float(row[-1]))
+        assert float(worst[-1]) == pytest.approx(0.0997, abs=1e-4)
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: verify: ")
+        assert f"{worst[0]} on the {worst[1]} map" in err[0]
+        assert f"{float(worst[-1]):.3g}" in err[0]
 
     def test_builds_once_on_the_ode_grid(self, tmp_path, monkeypatch):
         # the radial and twist maps share one radial minimizer, built on

@@ -145,7 +145,7 @@ class TestMinimizeRadial:
         pair = rd.AnnulusPair(1.0, 2.0, 1.0, 3 / (2 * np.sqrt(2)))
         n = 2048
         rv, rep = dc.minimize_radial(unit(), pair, n=n)
-        assert rep.iterations <= 12
+        assert rep.iterations == 1
         plateau = np.flatnonzero(rv.H == pair.r_star)
         assert plateau.size > 100
         np.testing.assert_array_equal(plateau, np.arange(plateau.size))
@@ -186,26 +186,72 @@ class TestMinimizeRadial:
         old = self.FISTA[key]
         assert rep.total <= old + 4 * np.spacing(old)
 
-    def _with_shifted_solves(self, monkeypatch, shift):
+    def _with_shifted_solve(self, monkeypatch, shift):
+        # the one banded solve returns Z = -(X, Y) on the interior nodes
         solve = dc.solveh_banded
         monkeypatch.setattr(dc, "solveh_banded",
-                            lambda ab, b: solve(ab, b) + shift(b.size))
+                            lambda ab, b: solve(ab, b) + shift(b.shape))
 
     def test_negative_multiplier_raises(self, monkeypatch):
-        # the pinned solve dips below r_star, but lifted bisection solves
-        # leave it at every contact index: the bisection ends on a contact
-        # set the profile pulls away from
-        self._with_shifted_solves(monkeypatch, lambda m: 0.05 * (m < 255))
+        # X lowered at node 1: r_star X + R_star Y dips below r_star there
+        # and a_1 lifts the next value above it, so the contact set ends at
+        # node 1, which the profile pulls away from
+        def shift(shape):
+            dZ = np.zeros(shape)
+            dZ[0, 0] = 0.5
+            return dZ
+        self._with_shifted_solve(monkeypatch, shift)
         pair = rd.AnnulusPair(1.0, 2.0, 1.0, 1.06)
         with pytest.raises(dc.FeasibilityError, match="multiplier"):
             dc.minimize_radial(unit(), pair, n=256)
 
     def test_non_monotone_profile_raises(self, monkeypatch):
-        self._with_shifted_solves(
-            monkeypatch, lambda m: 0.5 * (np.arange(m) == m // 2))
+        def shift(shape):       # X and Y lifted at the middle node
+            dZ = np.zeros(shape)
+            dZ[shape[0] // 2] = -0.5
+            return dZ
+        self._with_shifted_solve(monkeypatch, shift)
         pair = rd.AnnulusPair(1.0, 2.0, 1.0, 2.0)
         with pytest.raises(dc.FeasibilityError, match="monotone"):
             dc.minimize_radial(unit(), pair, n=256)
+
+    @staticmethod
+    def _obstacle_oracle(w, pair, n):
+        t = np.linspace(np.log(pair.r), np.log(pair.R), n + 1)
+        return form_oracle.radial_obstacle_minimum(
+            dc.cell_weights(w, t, pair.R), (t[-1] - t[0]) / n, 0.0,
+            pair.r_star, pair.R_star)
+
+    @pytest.mark.parametrize("R_star, n", [(1 + 1e-7, 2048), (1 + 1e-9, 2048),
+                                           (1.0001, 16)])
+    def test_thin_target_contact_runs_to_the_last_interior_node(self, R_star,
+                                                                 n):
+        # too thin a target to leave r_star before the last node
+        pair = rd.AnnulusPair(1.0, 2.0, 1.0, R_star)
+        rv, rep = dc.minimize_radial(unit(), pair, n=n)
+        np.testing.assert_array_equal(rv.H[:n], pair.r_star)
+        assert rv.H[n] == pair.R_star
+        _, E, j = self._obstacle_oracle(unit(), pair, n)
+        assert j == n - 1
+        assert rep.total == pytest.approx(E, rel=1e-15)
+
+    OBSTACLE_WEIGHTS = {**WEIGHTS, "s^3": Weight.power(3.0, 1.0, 2.0),
+                        "s^-3": Weight.power(-3.0, 1.0, 2.0),
+                        "s^-8": Weight.power(-8.0, 1.0, 2.0)}
+
+    @pytest.mark.parametrize("n", [16, 1024])
+    @pytest.mark.parametrize("R_star", [1 + 1e-7, 1.06, 1.5, 3.0])
+    @pytest.mark.parametrize("name", sorted(OBSTACLE_WEIGHTS))
+    def test_matches_the_obstacle_oracle(self, name, R_star, n):
+        # measured: energies within 3.1e-16 relative and H within 6.9e-11
+        # (2.2e-10 at n = 2048); contact indices equal
+        pair = rd.AnnulusPair(1.0, 2.0, 1.0, R_star)
+        w = self.OBSTACLE_WEIGHTS[name]
+        rv, rep = dc.minimize_radial(w, pair, n=n)
+        H, E, j = self._obstacle_oracle(w, pair, n)
+        assert np.flatnonzero(rv.H > pair.r_star)[0] - 1 == j
+        assert rep.total == pytest.approx(E, rel=1e-15)
+        np.testing.assert_allclose(rv.H, H, rtol=0, atol=3e-10)
 
 
 class TestCylinderForm:
