@@ -139,8 +139,12 @@ def winding_number(m: PolarGridMap, row):
         raise DegenerateRowError(f"row {row} passes through the origin")
     if np.ptp(z.real) == 0.0 and np.ptp(z.imag) == 0.0:
         raise DegenerateRowError(f"row {row} collapsed to a single point")
-    ang = np.angle(np.roll(z, -1) / z)
-    return int(np.rint(np.sum(ang) / (2 * np.pi)))
+    return int(np.rint(np.sum(_steps(z)) / (2 * np.pi)))
+
+
+def _steps(z):
+    """Angle steps arg(z[j+1] / z[j]) around a periodic row."""
+    return np.angle(np.roll(z, -1) / z)
 
 
 def negative_jacobian_fraction(m: PolarGridMap):
@@ -487,8 +491,9 @@ def minimize_polar(w: Weight, pair: rd.AnnulusPair, ns=256, ntheta=256,
     the whole grid from the start map instead.  Both descents are
     `_descend`, whose projection clamps the moduli into [r_star, R_star]
     and re-pins the boundary rows for the mode.  The final map's row
-    windings are checked once (FeasibilityError).  rep.iterations counts
-    the steps of both descents.
+    windings are checked once, and a boundary row with a step that does
+    not advance its angle is a fold (FeasibilityError for both).
+    rep.iterations counts the steps of both descents.
     """
     if init is None:
         sol = radial_solution if radial_solution is not None \
@@ -533,5 +538,10 @@ def minimize_polar(w: Weight, pair: rd.AnnulusPair, ns=256, ntheta=256,
     row = _bad_row(out)     # |h| >= r_star - ADMISSIBLE_TOL: no row meets 0
     if row is not None:
         raise FeasibilityError(f"descended map: row {row} winding is not +1")
+    for row in (0, ns - 1):
+        back = int(np.sum(_steps(h[row]) <= 0))
+        if back:
+            raise FeasibilityError(f"descended map folds: {back} of row "
+                                   f"{row}'s {ntheta} steps go backwards")
     return out, EnergyReport(form.energy(h), iterations, converged,
                              negative_jacobian_fraction(out))

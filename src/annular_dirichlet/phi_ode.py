@@ -64,8 +64,8 @@ class OdeGrid:
 
     Reusable across solves with different initial values: the RK4
     fundamental matrix of the linearised equation is built on first use,
-    by one band forward substitution, and turns every later `integrate`
-    into a few O(n) array operations.
+    by one band forward substitution, and turns every later `path` into
+    two O(n) array operations.
     """
 
     def __init__(self, w: Weight, r, R, n=DEFAULT_N):
@@ -97,21 +97,53 @@ class OdeGrid:
         substitution that takes one rounded RK4 step per node."""
         return _fundamental_columns(self.lam, self.lam_half, self.h)
 
-    def integrate(self, phi0):
-        """RK4 path of phi_tilde from the left endpoint.
-
-        phi_tilde = q/H for y = (H, q) = F (1, phi0).  From the first node
-        with H <= 0 on, the Riccati solution has blown up to -inf.
-        """
+    def path(self, phi0):
+        """(H, q = lambda H_t) = F (1, phi0) at every node."""
         h0, h1, q0, q1 = self.columns
         phi0 = float(phi0)
-        H = h0 + phi0 * h1
+        return h0 + phi0 * h1, q0 + phi0 * q1
+
+    def integrate(self, phi0):
+        """phi_tilde = q/H of `path(phi0)`; from the first node with H <= 0
+        on, the Riccati solution has blown up to -inf."""
+        H, q = self.path(phi0)
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            y = (q0 + phi0 * q1) / H
+            y = q / H
         dead = np.flatnonzero(H <= 0.0)
         if dead.size:
             y[dead[0]:] = -np.inf
         return y
+
+    def solve(self, phi0):
+        """The characteristic ODE from phi0 on this grid: phi_tilde, phi =
+        max(0, phi_tilde) and the collapse radius r0 (r when phi0 >= 0, R
+        when phi_tilde stays negative); AccuracyError on a failed check."""
+        y = self.integrate(phi0)
+        H, q = self.path(phi0)
+        # largest finite-difference defect of (H, q) in H_t = q/lambda and
+        # q_t/lambda = H, relative to max(|H|, |H_t|) at each node: the pair
+        # stays smooth where phi_tilde = q/H is steep or blows up
+        Ht = q / self.lam
+        defect = np.maximum(np.abs(fd_derivative(H, self.h) - Ht),
+                            np.abs(fd_derivative(q, self.h) / self.lam - H))
+        residual = float(np.max(defect / np.maximum(np.abs(H), np.abs(Ht))))
+        if residual > RESIDUAL_TOL:
+            raise AccuracyError(
+                f"ODE residual {residual:.3e} above {RESIDUAL_TOL:.1e}")
+        bound = max(abs(phi0), self.lam_max) * (1 + 1e-12) + 1e-15
+        if not np.max(np.abs(y)) <= bound:
+            raise AccuracyError(
+                f"a priori bound violated: max |phi_tilde| "
+                f"{np.max(np.abs(y)):.6g} above {bound:.6g}")
+        if phi0 >= 0:
+            r0 = self.s[0]
+        elif y[-1] < 0:
+            r0 = self.s[-1]
+        else:
+            k = int(np.searchsorted(y >= 0, True))
+            r0 = np.exp(_kink(self, H, q, y, k)[0])
+        return PhiSolution(grid=self, phi_tilde=y, phi=np.maximum(0.0, y),
+                           phi0=float(phi0), r0=float(r0), residual=residual)
 
     def modulus(self, phi):
         """Composite-Simpson quadrature of Phi/(s lambda) ds = Phi/lambda dt."""
@@ -155,42 +187,9 @@ def _fundamental_columns(lam, lam_half, h):
     return h0, h1, q0, q1
 
 
-def solve_phi_tilde(w: Weight, r, R, phi0, n=DEFAULT_N,
-                    grid: OdeGrid | None = None):
-    """Integrate the characteristic ODE with initial value phi0; the
-    solution carries phi_tilde, phi = max(0, phi_tilde) and the collapse
-    radius r0 (r when phi0 >= 0, R when phi_tilde stays negative)."""
-    g = grid if grid is not None else OdeGrid(w, r, R, n)
-    y = g.integrate(phi0)
-    h0, h1, q0, q1 = g.columns
-    H, q = h0 + phi0 * h1, q0 + phi0 * q1
-    residual = _ode_residual(g, H, q)
-    if residual > RESIDUAL_TOL:
-        raise AccuracyError(
-            f"ODE residual {residual:.3e} above {RESIDUAL_TOL:.1e}")
-    bound = max(abs(phi0), g.lam_max) * (1 + 1e-12) + 1e-15
-    if not np.max(np.abs(y)) <= bound:
-        raise AccuracyError(
-            f"a priori bound violated: max |phi_tilde| "
-            f"{np.max(np.abs(y)):.6g} above {bound:.6g}")
-    if phi0 >= 0:
-        r0 = g.s[0]
-    elif y[-1] < 0:
-        r0 = g.s[-1]
-    else:
-        r0 = np.exp(_kink(g, H, q, y, int(np.searchsorted(y >= 0, True)))[0])
-    return PhiSolution(grid=g, phi_tilde=y, phi=np.maximum(0.0, y),
-                       phi0=float(phi0), r0=float(r0), residual=residual)
-
-
-def _ode_residual(g: OdeGrid, H, q):
-    """Largest finite-difference defect of y = (H, q) = F (1, phi0) in
-    H_t = q/lambda and q_t/lambda = H, relative to max(|H|, |H_t|) at each
-    node.  The pair stays smooth where phi_tilde = q/H is steep or blows up."""
-    Ht = q / g.lam
-    defect = np.maximum(np.abs(fd_derivative(H, g.h) - Ht),
-                        np.abs(fd_derivative(q, g.h) / g.lam - H))
-    return float(np.max(defect / np.maximum(np.abs(H), np.abs(Ht))))
+def solve_phi_tilde(w: Weight, r, R, phi0, n=DEFAULT_N):
+    """`OdeGrid.solve` of phi0 on the n-interval grid of w on [r, R]."""
+    return OdeGrid(w, r, R, n).solve(phi0)
 
 
 def fd_derivative(y, h):

@@ -16,7 +16,7 @@ import numpy as np
 
 from .phi_ode import (DEFAULT_N, FD_STENCIL, AccuracyError, OdeGrid,
                       PhiSolution, RadialProfile, _kink, _simpson,
-                      fd_derivative, recover_H, solve_phi_tilde)
+                      fd_derivative, recover_H)
 from .weights import Weight
 
 MODULUS_TOL = 1e-10
@@ -95,8 +95,8 @@ def find_initial_value(grid: OdeGrid, pair: AnnulusPair):
     """Initial value phi0 whose target modulus matches the annulus pair, on
     `grid`, the OdeGrid of the pair's domain and the weight.
 
-    Case 1 (phi0 >= 0): the path never clamps and H = h0 + phi0 h1 ends
-    at R*/r*, so phi0 = (R*/r* - h0(R)) / h1(R).  Case 2: safeguarded
+    Case 1 (phi0 >= 0): the path never clamps and its H (`grid.path`)
+    ends at R*/r*, so phi0 = (R*/r* - h0(R)) / h1(R).  Case 2: safeguarded
     Newton on the clamped modulus m(phi0), nondecreasing in phi0, in the
     bracket [-max lambda, 0] (a path from -max lambda stays below it, with
     modulus 0), from the case-1 value; a step that leaves the bracket
@@ -123,7 +123,7 @@ def find_initial_value(grid: OdeGrid, pair: AnnulusPair):
         else:
             hi = phi0
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            H = h0 + phi0 * h1
+            H = grid.path(phi0)[0]
             dm = grid.modulus(np.where(y > 0, wronskian / (H * H), 0.0))
         phi0 = phi0 - (m - target) / dm if dm > 0 else hi
     return float(0.5 * (lo + hi))
@@ -133,7 +133,7 @@ def build(w: Weight, pair: AnnulusPair, n=DEFAULT_N):
     """Construct the radial minimizer end to end for the given pair."""
     grid = OdeGrid(w, pair.r, pair.R, n)
     phi0 = find_initial_value(grid, pair)
-    p = solve_phi_tilde(w, pair.r, pair.R, phi0, grid=grid)
+    p = grid.solve(phi0)
     profile = recover_H(p, w, pair.r_star)
     # pin the outer target radius exactly; the modulus already matches to tol
     factor = pair.R_star / profile.H[-1]
@@ -182,14 +182,14 @@ def thresholds(w: Weight, rho, n=DEFAULT_N):
 
 
 def _threshold_m(g: OdeGrid):
-    p = solve_phi_tilde(g.w, g.s[0], g.s[-1], 0.0, grid=g)
+    p = g.solve(0.0)
     return float(np.exp(g.modulus(p.phi)))
 
 
 def _threshold_g(g: OdeGrid):
     """Thin-target threshold on the grid of its ratio.
 
-    With (H, q) = F (1, phi0) from the grid's fundamental matrix, the
+    With (H, q) = `g.path(phi0)` from the grid's fundamental matrix, the
     condition phi_tilde = q/H <= lambda at a node where H > 0 reads
     a + phi0 b <= 0, a = q0 - lambda h0, b = q1 - lambda h1.  phi_tilde
     grows with phi0, so the largest admissible phi0 is the least -a/b over
@@ -207,7 +207,7 @@ def _threshold_g(g: OdeGrid):
     a, b = q0 - g.lam * h0, q1 - g.lam * h1
     up = b > 0
     phi_g = float(np.min(-a[up] / b[up]))
-    H = h0 + phi_g * h1
+    H, q = g.path(phi_g)
     if not np.all(H > 0):
         raise AccuracyError(
             f"threshold_g: the extreme path H = h0 + phi_g h1 reaches "
@@ -217,7 +217,7 @@ def _threshold_g(g: OdeGrid):
     k = int(np.searchsorted(y >= 0, True))
     j = k + (len(y) - k + 1) % 2    # k + 1 if the count from k is even
     # H_j / min H; H(r) = 1 is least if k = 0
-    ratio = H[j] / _kink(g, H, q0 + phi_g * q1, y, k)[1] if k > 0 else 1.0
+    ratio = H[j] / _kink(g, H, q, y, k)[1] if k > 0 else 1.0
     return float(ratio * np.exp(_simpson(y[j:] / g.lam[j:], g.h)))
 
 
@@ -267,7 +267,7 @@ def claim1_certificate(sol: RadialSolution, w: Weight):
     smooth = _smooth_range(sol)
     c = float(sol.profile.H[0] * sol.phi.phi[0])
     s = sol.phi.s[smooth]
-    lam = np.asarray(w(s), dtype=float)
+    lam = sol.phi.grid.lam[smooth]
     phi = sol.phi.phi[smooth]
     H = sol.profile.H[smooth]
     tau = phi - c / H

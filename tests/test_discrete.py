@@ -274,6 +274,14 @@ class TestCylinderForm:
         assert 0.5 * np.vdot(form.grad(m.h), m.h).real == \
             pytest.approx(E, rel=1e-14)
 
+    @pytest.mark.xfail(strict=True, reason="one-point (cell-centre) "
+                       "quadrature gives the checkerboard zero energy; the "
+                       "fully integrated form of ROADMAP item 3 removes it")
+    def test_checkerboard_has_positive_energy(self):
+        form = dc.CylinderForm(np.ones(8), 0.1, 2 * np.pi / 12)
+        i, j = np.indices((9, 12))
+        assert form.energy((-1.0) ** (i + j) + 0j) > 0.0
+
     def test_blocks_are_the_mode_restrictions(self):
         m = identity_map(16, 12)
         form = dc.CylinderForm.on(WEIGHTS["s"], m)
@@ -539,6 +547,49 @@ class TestMinimizePolar:
         with pytest.raises(dc.FeasibilityError, match="row 0"):
             dc.minimize_polar(unit(), pair, init=init)
         assert len(calls) == 2
+
+    @pytest.mark.parametrize("row", [0, 31])
+    def test_final_map_with_a_folded_boundary_row_raises(self, monkeypatch,
+                                                         row):
+        # the row still winds once, but a quarter of its steps go backwards
+        pair = rd.AnnulusPair(1, 2, 1, 1.25)
+        init = twisted_map(pair, 32, dc.MODE_FREE)
+        theta = init.theta
+        radius = pair.r_star if row == 0 else pair.R_star
+        fold = radius * np.exp(1j * (theta + 0.9 * np.sin(2 * theta)))
+        assert dc._bad_row(dc.PolarGridMap(np.array([fold] * 3), pair)) is None
+        descend = dc._descend
+
+        def folding_descend(x0, *args):
+            x, steps, converged = descend(x0, *args)
+            x = x.copy()
+            x[0 if row == 0 else -1] = fold
+            return x, steps, converged
+
+        monkeypatch.setattr(dc, "_descend", folding_descend)
+        with pytest.raises(dc.FeasibilityError,
+                           match=f"folds: 8 of row {row}'s 32 steps"):
+            dc.minimize_polar(unit(), pair, init=init)
+
+    @pytest.mark.xfail(strict=True, raises=dc.FeasibilityError,
+                       reason="the checkerboard mode of the one-point form "
+                       "lets the descent fold the outer row (ROADMAP item 3)")
+    def test_thick_decreasing_twisted_descent_does_not_fold(self):
+        # s^-2 on A(1, 3) -> A*(1, 2m): with the one-point form the descent
+        # settles in 1575 steps on a map at 0.5645 of the closed-form
+        # energy, 16 of whose 32 outer-row steps go backwards
+        w = Weight.power(-2.0, 1.0, 3.0)
+        pair = rd.AnnulusPair(1.0, 3.0, 1.0, 2 * rd.threshold_m(w, 3.0))
+        sol = rd.build(w, pair)
+        init = dc.embed_radial(sol, 32, 32)
+        theta = init.theta
+        init.h[0] = pair.r_star * np.exp(1j * (theta + 0.3 * np.sin(theta)))
+        init.h[-1] = pair.R_star * np.exp(
+            1j * (theta + 0.5 * np.sin(2 * theta) + 0.2))
+        init.check()
+        m, rep = dc.minimize_polar(w, pair, init=init)
+        assert all(np.all(dc._steps(m.h[row]) > 0) for row in (0, -1))
+        assert abs(rep.total - sol.energy) <= 1e-2 * sol.energy
 
     def test_start_map_brings_its_mode(self):
         # a free start with a rotated outer row, descended with the

@@ -64,16 +64,38 @@ class TestOdeGrid:
     def test_grid_reuse_matches_fresh_solve(self):
         w = Weight.power(1.0, 1.0, 2.0)
         grid = po.OdeGrid(w, 1.0, 2.0)
-        a = po.solve_phi_tilde(w, 1.0, 2.0, 0.2, grid=grid)
+        a = grid.solve(0.2)
         b = po.solve_phi_tilde(w, 1.0, 2.0, 0.2)
         np.testing.assert_array_equal(a.phi_tilde, b.phi_tilde)
+
+    @pytest.mark.parametrize("name", ["s", "1/s", "2+sin4s"])
+    def test_path_is_the_columns_at_phi0(self, name):
+        # the one place that forms F (1, phi0)
+        grid = po.OdeGrid(ORACLE_WEIGHTS[name], 1.0, 2.0, 1024)
+        h0, h1, q0, q1 = grid.columns
+        for phi0 in (-3.0, -0.45, -0.05, 0.0, 0.2, 1.5):
+            H, q = grid.path(phi0)
+            assert H.tobytes() == (h0 + phi0 * h1).tobytes()
+            assert q.tobytes() == (q0 + phi0 * q1).tobytes()
+
+    @pytest.mark.parametrize("name", ["1", "s", "1/s", "2+sin4s"])
+    def test_solve_is_solve_phi_tilde(self, name):
+        w, n = ORACLE_WEIGHTS[name], 1024
+        grid = po.OdeGrid(w, 1.0, 2.0, n)
+        for phi0 in (-0.45, -0.05, 0.0, 0.2, 1.5):
+            a, b = grid.solve(phi0), po.solve_phi_tilde(w, 1.0, 2.0, phi0, n)
+            for field in ("phi_tilde", "phi", "s", "t"):
+                assert getattr(a, field).tobytes() == \
+                    getattr(b, field).tobytes()
+            assert (a.phi0, a.r0, a.residual) == (b.phi0, b.r0, b.residual)
+            assert a.grid is grid and b.grid.n == n
 
     def test_steep_path_stays_on_its_grid(self):
         # the s weight's phi0 for A(1, 2) -> A*(1, 5): phi_tilde is steep,
         # but the linear pair meets the residual tolerance at n = 4096
         w = Weight.power(1.0, 1.0, 2.0)
         grid = po.OdeGrid(w, 1.0, 2.0)
-        p = po.solve_phi_tilde(w, 1.0, 2.0, 7.027001980692148, grid=grid)
+        p = grid.solve(7.027001980692148)
         assert p.grid is grid
         assert len(p.s) == len(p.phi) == grid.n + 1
         assert p.grid.modulus(p.phi) == pytest.approx(np.log(5.0), abs=1e-9)
@@ -82,7 +104,7 @@ class TestOdeGrid:
         # phi == lambda gives H(s) = const * s, modulus log(R/r)
         w = Weight.constant(1.0, 1.0, 2.0)
         grid = po.OdeGrid(w, 1.0, 2.0)
-        p = po.solve_phi_tilde(w, 1.0, 2.0, 1.0, grid=grid)
+        p = grid.solve(1.0)
         assert p.grid.modulus(p.phi) == pytest.approx(np.log(2.0), abs=1e-12)
 
     @pytest.mark.parametrize("r, R, n, message", [
@@ -153,7 +175,7 @@ class TestAgainstNonlinearRk4:
     @pytest.mark.parametrize("phi0", [-0.45, -0.3, -0.05, -0.01])
     def test_collapse_radius_matches_bisection(self, grid, phi0):
         w = grid.w
-        p = po.solve_phi_tilde(w, 1.0, 2.0, phi0, grid=grid)
+        p = grid.solve(phi0)
         y = rk4_path(grid, phi0)
         i = int(np.searchsorted(y >= 0, True)) - 1
         r0 = bisect_root(w, grid.t[i], y[i], grid.t[i + 1], grid.s[-1])
@@ -348,6 +370,6 @@ def test_modulus_monotone_in_phi0(phi0, n):
     # larger phi0 -> strictly larger target modulus for fixed domain
     w = Weight.constant(1.0, 1.0, 2.0)
     grid = po.OdeGrid(w, 1.0, 2.0, n=n)
-    lo = po.solve_phi_tilde(w, 1, 2, phi0, n=n, grid=grid)
-    hi = po.solve_phi_tilde(w, 1, 2, phi0 + 0.005, n=n, grid=grid)
+    lo = grid.solve(phi0)
+    hi = grid.solve(phi0 + 0.005)
     assert hi.grid.modulus(hi.phi) > lo.grid.modulus(lo.phi)
