@@ -373,6 +373,7 @@ def cmd_direct(cfg, out):
         "polar_gap": prep.total - sol.energy,
         "polar_iterations": prep.iterations,
         "polar_converged": prep.converged,
+        "polar_kkt_residual": prep.kkt_residual,
         "radial_solves": rrep.iterations,
         "negative_jacobian_fraction": prep.negative_jacobian_fraction,
     })

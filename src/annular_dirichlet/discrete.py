@@ -27,6 +27,7 @@ MODE_FREE = "free"
 MODE_FIXED_OUTER = "fixed_outer"
 PERTURBATION_MODES = 4     # k = 1..4 radial and m = 0..4 angular modes
 POLAR_TOL = 1e-12          # relative energy change of a quiet descent step
+KKT_TOL = 1e-11            # KKT residual that ends a descent as stationary
 ADMISSIBLE_TOL = 1e-9      # slack of |h| about [r_star, R_star] and its ends
 PROFILE_TOL = 1e-10        # slack of a nondecreasing radial profile H
 
@@ -49,6 +50,7 @@ class EnergyReport:
     iterations: int = 0
     converged: bool = True
     negative_jacobian_fraction: float | None = None
+    kkt_residual: float | None = None
 
 
 @dataclass
@@ -147,10 +149,10 @@ def _steps(z):
     return np.angle(np.roll(z, -1) / z)
 
 
-def negative_jacobian_fraction(m: PolarGridMap):
-    """Share of cells with negative Jacobian density Im(conj(h_t) h_theta),
-    i.e. J_h * s^2, the Jacobian against the measure dt dtheta."""
-    Dt, Dth = cell_diffs(m.h, m.dt, m.dtheta)
+def _negative_share(Dt, Dth):
+    """Share of cells, by their `cell_diffs`, with negative Jacobian density
+    Im(conj(h_t) h_theta), i.e. J_h * s^2, the Jacobian against the
+    measure dt dtheta."""
     return float(np.mean(np.imag(np.conj(Dt) * Dth) < 0))
 
 
@@ -219,7 +221,9 @@ class CylinderForm:
         return cls(cell_weights(w, m.t, m.pair.R), m.dt, m.dtheta)
 
     def energy(self, h):
-        Dt, Dth = cell_diffs(h, self.dt, self.dtheta)
+        return self._energy(*cell_diffs(h, self.dt, self.dtheta))
+
+    def _energy(self, Dt, Dth):
         lamc = self.lam[:, None]
         cell = self.dt * self.dtheta
         radl = cell * float(np.sum(lamc * (Dt.real ** 2 + Dt.imag ** 2)))
@@ -233,9 +237,11 @@ class CylinderForm:
         hr = np.roll(h, -1, axis=1)
         u = h + hr                  # theta-sums: D_t h = diff(u) / (2 dt)
         hr -= h                     # theta-differences, summed in t: D_theta h
-        p = (u[1:] - u[:-1]) * ((self.dtheta / (2 * self.dt)) * lamc)
-        q = (hr[1:] + hr[:-1]) * ((self.dt / (2 * self.dtheta)) * lamc)
-        plus = p + q
+        p = u[1:] - u[:-1]
+        p *= (self.dtheta / (2 * self.dt)) * lamc
+        q = np.add(hr[1:], hr[:-1], out=u[1:])      # u is spent
+        q *= (self.dt / (2 * self.dtheta)) * lamc
+        plus = np.add(p, q, out=hr[1:])             # and so is hr
         minus = np.subtract(p, q, out=p)
         # cell (i, j) adds -plus to node (i, j), minus to (i+1, j), -minus
         # to (i, j+1) and plus to (i+1, j+1)
@@ -430,13 +436,39 @@ def _project(h, m: PolarGridMap):
     return out
 
 
-def _descend(x0, grad, project, L, max_iter):
+def _kkt_residual(h, G, m: PolarGridMap):
+    """KKT residual of the rows h of a map on m's pair and mode (all rows,
+    or the two boundary rows) at its energy gradient G, relative to
+    max |G|: the largest of the tangential gradient at every free node,
+    the radial gradient off the active set |h| in {r_star, R_star}, and a
+    wrong-signed multiplier on it.  The moduli of the first and last rows
+    are pinned, and in fixed-outer mode the last row is pinned entirely."""
+    p = m.pair
+    mod = np.abs(h)
+    g = np.conj(h) * G          # |h| (radial + i tangential component)
+    radl = g.real / mod
+    tang = np.abs(g.imag)
+    tang /= mod
+    held = (((mod <= p.r_star + ADMISSIBLE_TOL) & (radl > 0))
+            | ((mod >= p.R_star - ADMISSIBLE_TOL) & (radl < 0)))
+    np.abs(radl, out=radl)
+    radl[held] = 0.0
+    radl[[0, -1]] = 0.0
+    if m.mode == MODE_FIXED_OUTER:
+        tang[-1] = 0.0
+    scale = np.abs(G).max()
+    return float(max(radl.max(), tang.max()) / scale) if scale else 0.0
+
+
+def _descend(x0, grad, project, kkt, L, max_iter):
     """Projected FISTA with function-value restarts and step 1/L on the
     quadratic with gradient `grad`.  The gradient is linear, so a step
     applies it once, to the new iterate: its gradient G gives its energy
     Re<G, x>/2 and, with the previous one, the gradient at the
-    extrapolated point.  Stops after 10 steps whose energy changes by at
-    most POLAR_TOL (relative).  Returns (x, steps, converged).
+    extrapolated point.  A step whose energy changes by at most POLAR_TOL
+    (relative) is quiet.  The descent converges at a quiet step whose
+    iterate has `kkt` residual at most KKT_TOL (stationary), or else at the
+    10th quiet step in a row (flat).  Returns (x, steps, converged).
     """
     step = 1.0 / L
     h = x0.copy()
@@ -463,7 +495,7 @@ def _descend(x0, grad, project, L, max_iter):
         small = abs(E_new - E_cur) <= POLAR_TOL * max(abs(E_new), 1.0)
         quiet = quiet + 1 if small else 0
         h, G_h, E_cur = h_new, G_new, E_new
-        if quiet >= 10:
+        if quiet >= 10 or (quiet and kkt(h, G_h) <= KKT_TOL):
             return h, it, True
     warnings.warn("minimize_polar hit the iteration cap; "
                   "returning the best iterate", RuntimeWarning)
@@ -490,10 +522,12 @@ def minimize_polar(w: Weight, pair: rd.AnnulusPair, ns=256, ntheta=256,
     relaxation is infeasible (collapsing pairs) and the descent runs on
     the whole grid from the start map instead.  Both descents are
     `_descend`, whose projection clamps the moduli into [r_star, R_star]
-    and re-pins the boundary rows for the mode.  The final map's row
-    windings are checked once, and a boundary row with a step that does
-    not advance its angle is a fold (FeasibilityError for both).
-    rep.iterations counts the steps of both descents.
+    and re-pins the boundary rows for the mode, and whose KKT residual
+    (`_kkt_residual`) stops it at a stationary quiet step.  The final
+    map's row windings are checked once, and a boundary row with a step
+    that does not advance its angle is a fold (FeasibilityError for
+    both).  rep.iterations counts the steps of both descents, and
+    rep.kkt_residual is the final map's on the whole grid.
     """
     if init is None:
         sol = radial_solution if radial_solution is not None \
@@ -512,6 +546,7 @@ def minimize_polar(w: Weight, pair: rd.AnnulusPair, ns=256, ntheta=256,
     Z, S = Z[k], S[k]           # per column of fft(rows, axis=1)
 
     project = partial(_project, m=init)
+    kkt = partial(_kkt_residual, m=init)
 
     def reduced_grad(b):
         bh = np.fft.fft(b, axis=1)
@@ -526,13 +561,13 @@ def minimize_polar(w: Weight, pair: rd.AnnulusPair, ns=256, ntheta=256,
         return h
 
     b, iterations, converged = _descend(init.h[[0, -1]], reduced_grad,
-                                        project, L_S, max_iter)
+                                        project, kkt, L_S, max_iter)
     h = extend(b)
     mod = np.abs(h)
     if (mod.min() < pair.r_star - ADMISSIBLE_TOL
             or mod.max() > pair.R_star + ADMISSIBLE_TOL):
-        h, steps, converged = _descend(init.h, form.grad, project, form.L,
-                                       max_iter)
+        h, steps, converged = _descend(init.h, form.grad, project, kkt,
+                                       form.L, max_iter)
         iterations += steps
     out = PolarGridMap(h, pair, init.mode)
     row = _bad_row(out)     # |h| >= r_star - ADMISSIBLE_TOL: no row meets 0
@@ -543,5 +578,7 @@ def minimize_polar(w: Weight, pair: rd.AnnulusPair, ns=256, ntheta=256,
         if back:
             raise FeasibilityError(f"descended map folds: {back} of row "
                                    f"{row}'s {ntheta} steps go backwards")
-    return out, EnergyReport(form.energy(h), iterations, converged,
-                             negative_jacobian_fraction(out))
+    residual = _kkt_residual(h, form.grad(h), out)
+    diffs = cell_diffs(h, form.dt, form.dtheta)
+    return out, EnergyReport(form._energy(*diffs), iterations, converged,
+                             _negative_share(*diffs), residual)

@@ -106,20 +106,14 @@ class OdeGrid:
     def integrate(self, phi0):
         """phi_tilde = q/H of `path(phi0)`; from the first node with H <= 0
         on, the Riccati solution has blown up to -inf."""
-        H, q = self.path(phi0)
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            y = q / H
-        dead = np.flatnonzero(H <= 0.0)
-        if dead.size:
-            y[dead[0]:] = -np.inf
-        return y
+        return _phi_tilde(*self.path(phi0))
 
     def solve(self, phi0):
         """The characteristic ODE from phi0 on this grid: phi_tilde, phi =
         max(0, phi_tilde) and the collapse radius r0 (r when phi0 >= 0, R
         when phi_tilde stays negative); AccuracyError on a failed check."""
-        y = self.integrate(phi0)
         H, q = self.path(phi0)
+        y = _phi_tilde(H, q)
         # largest finite-difference defect of (H, q) in H_t = q/lambda and
         # q_t/lambda = H, relative to max(|H|, |H_t|) at each node: the pair
         # stays smooth where phi_tilde = q/H is steep or blows up
@@ -148,6 +142,16 @@ class OdeGrid:
     def modulus(self, phi):
         """Composite-Simpson quadrature of Phi/(s lambda) ds = Phi/lambda dt."""
         return float(_simpson(phi / self.lam, self.h))
+
+
+def _phi_tilde(H, q):
+    """q/H, -inf from the first node with H <= 0 on."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        y = q / H
+    dead = np.flatnonzero(H <= 0.0)
+    if dead.size:
+        y[dead[0]:] = -np.inf
+    return y
 
 
 def _simpson(y, dx):

@@ -281,6 +281,10 @@ class TestDirectCommand:
         assert d["closed_form"] == pytest.approx(exact, rel=1e-6)
         assert d["polar_minimized"] >= exact * (1 - 5e-3)
         assert d["polar_converged"] is True
+        # the radial start is stationary: one boundary step, and the map
+        # it returns is a KKT point
+        assert d["polar_iterations"] == 1
+        assert 0.0 <= d["polar_kkt_residual"] <= dc.KKT_TOL
         # the 1-D minimizer makes one banded solve, collapsing pair or not
         assert d["radial_solves"] == 1
         assert (tmp_path / "polar_map.csv").exists()
@@ -290,6 +294,9 @@ class TestDirectCommand:
         rc = cli.main(["direct", "--config", str(p), "--out", str(tmp_path),
                        "--mode", "fixed-outer"])
         assert rc == 0
+        d = json.loads((tmp_path / "direct.json").read_text())
+        assert d["polar_converged"] is True and d["polar_iterations"] == 1
+        assert d["polar_kkt_residual"] <= dc.KKT_TOL
 
 
 class TestVerifyCommand:

@@ -487,6 +487,45 @@ class TestMinimizePolar:
         assert rep.converged
         E = oracle_minimum(w, m)
         assert abs(rep.total - E) <= 1e-12 * E
+        # the radial start is stationary: the first quiet boundary step
+        # is a KKT point, and so is the extended map
+        assert rep.iterations == 1
+        assert rep.kkt_residual <= dc.KKT_TOL
+
+    @pytest.mark.parametrize("mode", [dc.MODE_FREE, dc.MODE_FIXED_OUTER])
+    def test_kkt_residual_of_the_radial_map(self, mode):
+        pair = rd.AnnulusPair(1.0, 2.0, 1.0, 1.25)
+        m = dc.embed_radial(rd.build(unit(), pair), 32, 32, mode)
+        form = dc.CylinderForm.on(unit(), m)
+        G = form.grad(m.h)
+        assert dc._kkt_residual(m.h, G, m) < 1e-3
+        # a tangential force on an inner-row node, and in free mode on an
+        # outer-row node, is a residual; in fixed-outer mode the outer row
+        # is pinned
+        top = np.abs(G).max()
+        for row, counts in [(0, True), (-1, mode == dc.MODE_FREE)]:
+            G2 = G.copy()
+            G2[row, 5] += 1j * m.h[row, 5] / abs(m.h[row, 5]) * 0.5 * top
+            assert (dc._kkt_residual(m.h, G2, m) >= 0.4) == counts
+        # the radial force on a boundary row is a pinned modulus's multiplier
+        G2 = G.copy()
+        G2[0, 5] -= 0.5 * top * m.h[0, 5] / abs(m.h[0, 5])
+        assert dc._kkt_residual(m.h, G2, m) < 1e-3
+        # off the bounds an interior radial force is a residual; on the
+        # inner bound only an inward one (a wrong-signed multiplier)
+        i = 3
+        G2 = G.copy()
+        G2[i, 5] = 0.5 * top * m.h[i, 5] / abs(m.h[i, 5])
+        assert dc._kkt_residual(m.h, G2, m) >= 0.4
+        h = m.h.copy()
+        h[i, 5] *= pair.r_star / abs(h[i, 5])
+        for sign, counts in [(1.0, False), (-1.0, True)]:
+            G2 = G.copy()
+            G2[i, 5] = sign * 0.5 * top * h[i, 5] / abs(h[i, 5])
+            assert (dc._kkt_residual(h, G2, m) >= 0.4) == counts
+
+    # steps of the ten-quiet-step rule from the 64 x 64 twisted starts
+    TWISTED_STEPS = {dc.MODE_FREE: 65, dc.MODE_FIXED_OUTER: 44}
 
     @pytest.mark.parametrize("name, R_star, mode",
                              [("1", 1.25, dc.MODE_FREE),
@@ -497,7 +536,8 @@ class TestMinimizePolar:
         init = twisted_map(pair, 64, mode)
         init.check()
         m, rep = dc.minimize_polar(w, pair, mode=mode, init=init)
-        assert rep.converged and rep.iterations > 10
+        # the KKT stop does not fire on the non-stationary quiet iterates
+        assert rep.converged and rep.iterations == self.TWISTED_STEPS[mode]
         m.check()
         E = oracle_minimum(w, m)
         assert abs(rep.total - E) <= 1e-12 * E
@@ -517,19 +557,22 @@ class TestMinimizePolar:
         assert rep.converged
         assert rep.total < dc.polar_energy(unit(), init).total
         assert rep.total == pytest.approx(self.FULL_GRID_COLLAPSE, rel=1e-14)
-        # the boundary descent's 10 quiet steps, then the full grid's 45
-        assert rep.iterations == 10 + 45
+        # the boundary descent's one stationary step, then the full grid's
+        # 45, of which the last ten are quiet: that descent ends flat, not
+        # at a KKT point
+        assert rep.iterations == 1 + 45
+        assert rep.kkt_residual > dc.KKT_TOL
 
     def test_cap_stops_the_full_grid_descent(self, collapse_solution):
-        # on a collapsing pair the boundary descent converges in 10 steps
-        # and its extension leaves the annulus, so the full grid descends
+        # on a collapsing pair the boundary descent is stationary after one
+        # step and its extension leaves the annulus, so the full grid descends
         # (about 680 steps) and stops at the cap
         with pytest.warns(RuntimeWarning, match="iteration cap"):
             _, rep = dc.minimize_polar(
                 unit(), collapse_solution.pair, ns=32, ntheta=32, seed=1,
                 perturbation=0.05, max_iter=150,
                 radial_solution=collapse_solution)
-        assert rep.iterations == 10 + 150
+        assert rep.iterations == 1 + 150
         assert not rep.converged
 
     def test_final_map_that_does_not_wind_once_raises(self, monkeypatch):
