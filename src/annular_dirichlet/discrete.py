@@ -108,6 +108,9 @@ class PolarGridMap:
         return 2 * np.pi / self.ntheta
 
     def check(self):
+        """AdmissibilityError unless |h| is in [r_star, R_star], the boundary
+        rows are pinned for the mode, rows 0, ns // 2 and ns - 1 wind once
+        and no boundary-row step goes backwards (a fold)."""
         p, tol = self.pair, ADMISSIBLE_TOL
         mod = np.abs(self.h)
         if np.any(mod < p.r_star - tol) or np.any(mod > p.R_star + tol):
@@ -120,33 +123,31 @@ class PolarGridMap:
             pinned = p.R_star * np.exp(1j * self.theta)
             if np.max(np.abs(self.h[-1] - pinned)) > tol:
                 raise AdmissibilityError("outer row must be pinned in fixed mode")
-        i = _bad_row(self)
-        if i is not None:
-            raise AdmissibilityError(f"row {i} winding is not +1")
+        for i in (0, self.ns // 2, self.ns - 1):
+            steps, winding = _row_steps(self, i)
+            if winding != 1:
+                raise AdmissibilityError(f"row {i} winding is not +1")
+            back = int(np.sum(steps <= 0)) if i in (0, self.ns - 1) else 0
+            if back:
+                raise AdmissibilityError(f"folds: {back} of row {i}'s "
+                                         f"{self.ntheta} steps go backwards")
 
 
-def _bad_row(m: PolarGridMap):
-    """The first of rows 0, ns // 2, ns - 1 that does not wind once about
-    the origin, or None."""
-    for i in (0, m.ns // 2, m.ns - 1):
-        if winding_number(m, i) != 1:
-            return i
-    return None
-
-
-def winding_number(m: PolarGridMap, row):
-    """Discrete degree of the image of a grid circle about the origin."""
+def _row_steps(m: PolarGridMap, row):
+    """Angle steps arg(z[j+1] / z[j]) around the periodic row z of m, and
+    the winding number about the origin that they sum to."""
     z = m.h[row]
     if np.any(np.abs(z) < 1e-300):
         raise DegenerateRowError(f"row {row} passes through the origin")
     if np.ptp(z.real) == 0.0 and np.ptp(z.imag) == 0.0:
         raise DegenerateRowError(f"row {row} collapsed to a single point")
-    return int(np.rint(np.sum(_steps(z)) / (2 * np.pi)))
+    steps = np.angle(np.roll(z, -1) / z)
+    return steps, int(np.rint(np.sum(steps) / (2 * np.pi)))
 
 
-def _steps(z):
-    """Angle steps arg(z[j+1] / z[j]) around a periodic row."""
-    return np.angle(np.roll(z, -1) / z)
+def winding_number(m: PolarGridMap, row):
+    """Discrete degree of the image of a grid circle about the origin."""
+    return _row_steps(m, row)[1]
 
 
 def _negative_share(Dt, Dth):
@@ -403,7 +404,7 @@ def smooth_perturbation(t, theta, amplitude, rng):
 
 
 def perturb_map(m: PolarGridMap, amplitude, seed):
-    """Admissible smooth perturbation of modulus and argument."""
+    """Smooth perturbation of modulus and argument, checked admissible."""
     rng = np.random.default_rng(seed)
     G = np.abs(m.h)
     alpha = np.angle(m.h)
@@ -414,8 +415,7 @@ def perturb_map(m: PolarGridMap, amplitude, seed):
     out = PolarGridMap(G2 * np.exp(1j * (alpha + dA)), m.pair, m.mode)
     if m.mode == MODE_FIXED_OUTER:
         out.h[-1] = m.pair.R_star * np.exp(1j * m.theta)
-    if _bad_row(out) is not None:
-        raise AdmissibilityError("perturbation destroyed the row winding")
+    out.check()
     return out
 
 
@@ -523,11 +523,11 @@ def minimize_polar(w: Weight, pair: rd.AnnulusPair, ns=256, ntheta=256,
     the whole grid from the start map instead.  Both descents are
     `_descend`, whose projection clamps the moduli into [r_star, R_star]
     and re-pins the boundary rows for the mode, and whose KKT residual
-    (`_kkt_residual`) stops it at a stationary quiet step.  The final
-    map's row windings are checked once, and a boundary row with a step
-    that does not advance its angle is a fold (FeasibilityError for
-    both).  rep.iterations counts the steps of both descents, and
-    rep.kkt_residual is the final map's on the whole grid.
+    (`_kkt_residual`) stops it at a stationary quiet step.  The start and
+    the final map are each checked once (`PolarGridMap.check`); a final
+    map that is not admissible raises FeasibilityError.  rep.iterations
+    counts the steps of both descents, and rep.kkt_residual is the final
+    map's on the whole grid.
     """
     if init is None:
         sol = radial_solution if radial_solution is not None \
@@ -537,7 +537,8 @@ def minimize_polar(w: Weight, pair: rd.AnnulusPair, ns=256, ntheta=256,
         raise ValueError(f"start map is on {init.pair}, not on {pair}")
     if perturbation > 0:
         init = perturb_map(init, perturbation, seed)
-    init.check()
+    else:
+        init.check()
     ns, ntheta = init.h.shape
     form = CylinderForm.on(w, init)
     Z, S = form.boundary_reduction()
@@ -570,14 +571,10 @@ def minimize_polar(w: Weight, pair: rd.AnnulusPair, ns=256, ntheta=256,
                                        form.L, max_iter)
         iterations += steps
     out = PolarGridMap(h, pair, init.mode)
-    row = _bad_row(out)     # |h| >= r_star - ADMISSIBLE_TOL: no row meets 0
-    if row is not None:
-        raise FeasibilityError(f"descended map: row {row} winding is not +1")
-    for row in (0, ns - 1):
-        back = int(np.sum(_steps(h[row]) <= 0))
-        if back:
-            raise FeasibilityError(f"descended map folds: {back} of row "
-                                   f"{row}'s {ntheta} steps go backwards")
+    try:
+        out.check()
+    except AdmissibilityError as e:
+        raise FeasibilityError(f"descended map: {e}") from e
     residual = _kkt_residual(h, form.grad(h), out)
     diffs = cell_diffs(h, form.dt, form.dtheta)
     return out, EnergyReport(form._energy(*diffs), iterations, converged,

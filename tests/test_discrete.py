@@ -425,6 +425,12 @@ class TestPerturbation:
             p.check()
             assert dc.winding_number(p, 64) == 1
 
+    def test_perturbation_that_unwinds_a_row_names_it(self):
+        sol = rd.build(unit(), rd.AnnulusPair(1, 2, 1, 1.25))
+        with pytest.raises(dc.AdmissibilityError,
+                           match=r"^row 16 winding is not \+1$"):
+            dc.perturb_map(dc.embed_radial(sol, 32, 32), 10.0, 7)
+
     def test_seed_determinism(self):
         m = identity_map()
         a = dc.perturb_map(m, 0.05, 7)
@@ -578,15 +584,22 @@ class TestMinimizePolar:
     def test_final_map_that_does_not_wind_once_raises(self, monkeypatch):
         pair = rd.AnnulusPair(1, 2, 1, 1.25)
         init = twisted_map(pair, 32, dc.MODE_FREE)
-        bad_row = dc._bad_row
+        check, descend = dc.PolarGridMap.check, dc._descend
         calls = []
 
-        def second_call_fails(m):
+        def counted_check(m):
             # 1: init.check, 2: the final map
             calls.append(m)
-            return 0 if len(calls) == 2 else bad_row(m)
+            return check(m)
 
-        monkeypatch.setattr(dc, "_bad_row", second_call_fails)
+        def unwinding_descend(x0, *args):
+            x, steps, converged = descend(x0, *args)
+            x = x.copy()
+            x[0] = np.conj(x[0])
+            return x, steps, converged
+
+        monkeypatch.setattr(dc.PolarGridMap, "check", counted_check)
+        monkeypatch.setattr(dc, "_descend", unwinding_descend)
         with pytest.raises(dc.FeasibilityError, match="row 0"):
             dc.minimize_polar(unit(), pair, init=init)
         assert len(calls) == 2
@@ -600,7 +613,8 @@ class TestMinimizePolar:
         theta = init.theta
         radius = pair.r_star if row == 0 else pair.R_star
         fold = radius * np.exp(1j * (theta + 0.9 * np.sin(2 * theta)))
-        assert dc._bad_row(dc.PolarGridMap(np.array([fold] * 3), pair)) is None
+        assert dc.winding_number(dc.PolarGridMap(np.array([fold] * 3), pair),
+                                 0) == 1
         descend = dc._descend
 
         def folding_descend(x0, *args):
@@ -631,8 +645,24 @@ class TestMinimizePolar:
             1j * (theta + 0.5 * np.sin(2 * theta) + 0.2))
         init.check()
         m, rep = dc.minimize_polar(w, pair, init=init)
-        assert all(np.all(dc._steps(m.h[row]) > 0) for row in (0, -1))
+        m.check()
         assert abs(rep.total - sol.energy) <= 1e-2 * sol.energy
+
+    @pytest.mark.parametrize("row, mode", [(0, dc.MODE_FREE),
+                                           (0, dc.MODE_FIXED_OUTER),
+                                           (31, dc.MODE_FREE)])
+    def test_folded_start_map_is_rejected(self, row, mode):
+        # the row winds once, but 8 of its 32 steps go backwards: the start
+        # is not admissible, and is not descended
+        pair = rd.AnnulusPair(1, 2, 1, 1.25)
+        init = dc.embed_radial(rd.build(unit(), pair), 32, 32, mode)
+        theta = init.theta
+        rho = np.abs(init.h[row, 0])
+        init.h[row] = rho * np.exp(1j * (theta + 0.9 * np.sin(2 * theta)))
+        assert dc.winding_number(init, row) == 1
+        with pytest.raises(dc.AdmissibilityError,
+                           match=f"folds: 8 of row {row}'s 32 steps"):
+            dc.minimize_polar(unit(), pair, init=init)
 
     def test_start_map_brings_its_mode(self):
         # a free start with a rotated outer row, descended with the
