@@ -44,14 +44,14 @@ print(f"isoperimetric margins over all rows: min = "
       f"{isoperimetric_margins(m).min():.2e} (>= 0 up to rounding)")
 
 print()
-rep = proof_step_suite(m, sol, w)
+rep = proof_step_suite(m, sol)
 print("proof-step margins for the perturbed competitor:")
 print(f"  per-ray Cauchy-Schwarz step: {rep.westim1:.3e}")
 print(f"  weighted isoperimetric step: {rep.westim2:.3e}")
 print(f"  boundary free-Lagrangian step: {rep.westim4:.3e}")
 print(f"  energy above the minimum:    {rep.energy_margin:.3e}")
 
-rep0 = proof_step_suite(base, sol, w)
+rep0 = proof_step_suite(base, sol)
 print("same margins at the embedded radial minimizer (all ~ 0):")
 print(f"  {rep0.westim1:.1e}, {rep0.westim2:.1e}, {rep0.westim4:.1e}, "
       f"{rep0.energy_margin:.1e}")

@@ -113,8 +113,7 @@ class PolarGridMap:
         and no boundary-row step goes backwards (a fold)."""
         p, tol = self.pair, ADMISSIBLE_TOL
         mod = np.abs(self.h)
-        if np.any(mod < p.r_star - tol) or np.any(mod > p.R_star + tol):
-            raise AdmissibilityError("|h| outside [r_star, R_star]")
+        _check_moduli(mod, p)
         if np.max(np.abs(mod[0] - p.r_star)) > tol:
             raise AdmissibilityError("inner boundary row must have |h| = r_star")
         if np.max(np.abs(mod[-1] - p.R_star)) > tol:
@@ -131,6 +130,14 @@ class PolarGridMap:
             if back:
                 raise AdmissibilityError(f"folds: {back} of row {i}'s "
                                          f"{self.ntheta} steps go backwards")
+
+
+def _check_moduli(mod, pair: rd.AnnulusPair):
+    """AdmissibilityError when a modulus leaves [r_star, R_star] by more
+    than ADMISSIBLE_TOL."""
+    if (mod.min() < pair.r_star - ADMISSIBLE_TOL
+            or mod.max() > pair.R_star + ADMISSIBLE_TOL):
+        raise AdmissibilityError("|h| outside [r_star, R_star]")
 
 
 def _row_steps(m: PolarGridMap, row):
@@ -404,9 +411,11 @@ def smooth_perturbation(t, theta, amplitude, rng):
 
 
 def perturb_map(m: PolarGridMap, amplitude, seed):
-    """Smooth perturbation of modulus and argument, checked admissible."""
+    """Smooth perturbation of modulus and argument, checked admissible; m's
+    moduli are checked first, so the clip below never repairs them."""
     rng = np.random.default_rng(seed)
     G = np.abs(m.h)
+    _check_moduli(G, m.pair)
     alpha = np.angle(m.h)
     span = m.pair.R_star - m.pair.r_star
     dG = smooth_perturbation(m.t, m.theta, amplitude * span, rng)
@@ -564,9 +573,9 @@ def minimize_polar(w: Weight, pair: rd.AnnulusPair, ns=256, ntheta=256,
     b, iterations, converged = _descend(init.h[[0, -1]], reduced_grad,
                                         project, kkt, L_S, max_iter)
     h = extend(b)
-    mod = np.abs(h)
-    if (mod.min() < pair.r_star - ADMISSIBLE_TOL
-            or mod.max() > pair.R_star + ADMISSIBLE_TOL):
+    try:
+        _check_moduli(np.abs(h), pair)
+    except AdmissibilityError:      # the relaxation is infeasible
         h, steps, converged = _descend(init.h, form.grad, project, kkt,
                                        form.L, max_iter)
         iterations += steps

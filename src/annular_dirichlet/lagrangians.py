@@ -199,8 +199,9 @@ def isoperimetric_margins(m: dc.PolarGridMap):
     return length ** 2 / (2 * np.pi) - area2
 
 
-def proof_step_suite(m: dc.PolarGridMap, sol: rd.RadialSolution, w: Weight):
-    """Margins of the minimality-proof inequalities for the map m.
+def proof_step_suite(m: dc.PolarGridMap, sol: rd.RadialSolution):
+    """Margins of the minimality-proof inequalities for the map m, with the
+    weight of the solution's grid.
 
     All margins are nonnegative up to quadrature error, and vanish when m
     is the embedded radial minimizer.
@@ -209,8 +210,8 @@ def proof_step_suite(m: dc.PolarGridMap, sol: rd.RadialSolution, w: Weight):
     pair = sol.pair
     phi_m = np.interp(m.t, sol.phi.t, sol.phi.phi)
     H_m = np.interp(m.t, sol.phi.t, sol.profile.H)
-    c = float(H_m[0] * phi_m[0]) if sol.case_tag == rd.CASE1 else 0.0
-    tau = phi_m - (c / H_m if c else 0.0)
+    c = float(H_m[0] * phi_m[0])    # Phi(r) = 0 in the collapsing case
+    tau = phi_m - c / H_m
 
     # Cauchy-Schwarz step: per-ray int |h_s|^2 / Hdot ds >= R* - r*
     westim1 = None
@@ -243,6 +244,7 @@ def proof_step_suite(m: dc.PolarGridMap, sol: rd.RadialSolution, w: Weight):
     rhs = 2 * np.pi * (tau[-1] * pair.R_star ** 2 - tau[0] * pair.r_star ** 2)
     westim4 = float(term1 + term2 - rhs)
 
-    energy_margin = dc.polar_energy(w, m, check=False).total - sol.energy
+    energy = dc.polar_energy(sol.phi.grid.w, m, check=False).total
     return ProofStepReport(westim1=westim1, westim2=westim2, westim4=westim4,
-                           energy_margin=float(energy_margin), notes=notes)
+                           energy_margin=float(energy - sol.energy),
+                           notes=notes)

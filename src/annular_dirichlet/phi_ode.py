@@ -263,11 +263,11 @@ def _hermite(v, d):
 
 
 def recover_H(p: PhiSolution, w: Weight, r_star):
-    """Radial profile H(s) = r_star * exp(int_r^s Phi/(t lambda) dt)."""
+    """Radial profile H(s) = r_star * exp(int_r^s Phi/(t lambda) dt), with
+    lambda the weight of p's grid (w is unused)."""
     if r_star <= 0:
         raise ValueError(f"r_star must be positive, got {r_star}")
-    lam = np.asarray(w(p.s), dtype=float)
     h = p.t[1] - p.t[0]
-    H = r_star * np.exp(cumulative_integral(p.phi / lam, h))
-    Hdot = H * p.phi / (p.s * lam)
+    H = r_star * np.exp(cumulative_integral(p.phi / p.grid.lam, h))
+    Hdot = H * p.phi / (p.s * p.grid.lam)
     return RadialProfile(H, Hdot)

@@ -242,46 +242,37 @@ def energy_closed_form(sol: RadialSolution):
 
 
 def _smooth_range(sol: RadialSolution):
-    """The grid nodes on [r0, R], where the unclamped ODE holds, as a slice;
-    AccuracyError when fewer than fd_derivative's stencil remain."""
+    """(s, lambda, Phi, H) as views on the grid nodes on [r0, R], where the
+    unclamped ODE holds; AccuracyError when fewer than fd_derivative's
+    stencil remain."""
     s = sol.phi.s
     i0 = int(np.searchsorted(s, sol.r0))   # r0 = s[0] in case 1
     if len(s) - i0 < FD_STENCIL:
         raise AccuracyError(
             f"{len(s) - i0} grid node(s) on [r0, R] from r0 = {sol.r0!r}, "
             f"fewer than the {FD_STENCIL} of the derivative stencil")
-    return slice(i0, None)
+    return [a[i0:] for a in (s, sol.phi.grid.lam, sol.phi.phi, sol.profile.H)]
 
 
 def claim1_certificate(sol: RadialSolution, w: Weight):
     """Margins and residuals for the tau-identity certificate.
 
-    Requires a nondecreasing weight.  The constant is c = H(r) Phi(r)
-    (zero in the collapsing case).  Everything is evaluated on the nodes
-    on [r0, R] (`_smooth_range`), where the unclamped ODE holds; tau_dot
-    is a 4th-order finite difference there.
+    Requires the solution's weight to be nondecreasing (w is unused).  The
+    constant is c = H(r) Phi(r) (zero in the collapsing case).  Everything
+    is evaluated on the nodes on [r0, R] (`_smooth_range`), where the
+    unclamped ODE holds; tau_dot is a 4th-order finite difference there.
     """
-    if not w.is_nondecreasing():
-        raise CertificateError(
-            "certificate requires a nondecreasing weight")
-    smooth = _smooth_range(sol)
+    if not sol.phi.grid.w.is_nondecreasing():
+        raise CertificateError("certificate requires a nondecreasing weight")
+    s, lam, phi, H = _smooth_range(sol)
     c = float(sol.profile.H[0] * sol.phi.phi[0])
-    s = sol.phi.s[smooth]
-    lam = sol.phi.grid.lam[smooth]
-    phi = sol.phi.phi[smooth]
-    H = sol.profile.H[smooth]
     tau = phi - c / H
     tau_dot = fd_derivative(tau, sol.phi.t[1] - sol.phi.t[0]) / s
     ang = lam / s - tau_dot
-
-    if c == 0.0:
-        # collapse region contributes s*lambda since the c/Hdot term vanishes
-        rad = s * lam
-    else:
-        # c/Hdot = c*s*lambda/(H*Phi); the quotient form avoids cancellation
-        # where Hdot is tiny, and H*Phi >= c by the monotonicity of H*Phi
-        rad = s * lam * (1.0 - c / (H * phi))
-
+    # s lambda - c/Hdot, c/Hdot = c s lambda/(H Phi): the quotient form
+    # avoids cancellation where Hdot is tiny (H Phi >= c, as H Phi grows);
+    # with c = 0 (collapse) the term vanishes, and Phi may be 0 at r0
+    rad = s * lam if c == 0.0 else s * lam * (1.0 - c / (H * phi))
     report = CertificateReport(
         c=c,
         margin_tau=float(np.min(tau)),
@@ -299,18 +290,15 @@ def claim1_certificate(sol: RadialSolution, w: Weight):
 
 
 def fixed_boundary_coefficients(sol: RadialSolution, w: Weight):
-    """Coefficients of the fixed-outer-boundary estimate and their identity
-    residual d(Phi H)/ds = lambda H / s on the nodes on [r0, R]
-    (`_smooth_range`), where the ODE holds."""
-    s = sol.phi.s
-    lam = np.asarray(w(s), dtype=float)
-    phi = sol.phi.phi
-    H = sol.profile.H
+    """Coefficients of the fixed-outer-boundary estimate, with the weight of
+    the solution's grid (w is unused), and their identity residual
+    d(Phi H)/ds = lambda H / s on the nodes on [r0, R] (`_smooth_range`),
+    where the ODE holds."""
+    lam, phi, H = sol.phi.grid.lam, sol.phi.phi, sol.profile.H
     g = phi ** 2 / (phi ** 2 + lam ** 2)
     rho1 = phi * H
-    rho2 = lam * H / s
-    smooth = _smooth_range(sol)
-    h = sol.phi.t[1] - sol.phi.t[0]
-    rho1_dot = fd_derivative(rho1[smooth], h) / s[smooth]
-    residual = float(np.max(np.abs(rho1_dot - rho2[smooth])))
+    rho2 = lam * H / sol.phi.s
+    s, lam, phi, H = _smooth_range(sol)    # the same, on [r0, R]
+    rho1_dot = fd_derivative(phi * H, sol.phi.t[1] - sol.phi.t[0]) / s
+    residual = float(np.max(np.abs(rho1_dot - lam * H / s)))
     return FixedBoundaryCoeffs(g=g, rho1=rho1, rho2=rho2, residual=residual)

@@ -22,6 +22,15 @@ WEIGHTS = {
                                     samples=8193),
 }
 
+# the weights of the twisted-start gate (TestMinimizePolar.TWISTED)
+GATE_WEIGHTS = {
+    **WEIGHTS,
+    "s^2": Weight.power(2.0, 1.0, 2.0),
+    "s^-2(1,3)": Weight.power(-2.0, 1.0, 3.0),
+    "2+sin4s(1,3)": Weight.from_callable(lambda s: 2.0 + np.sin(4.0 * s),
+                                         1.0, 3.0, samples=8193),
+}
+
 
 def identity_map(ns=64, ntheta=64, pair=None):
     pair = pair or rd.AnnulusPair(1, 2, 1, 2)
@@ -44,10 +53,12 @@ def twisted_map(pair, n, mode, amplitude=0.3):
 
 
 def oracle_minimum(w, m):
+    """Energy of the discrete radial candidate on m's grid, at its own
+    dtheta: the form's minimum over H(t) e^{i theta} with H >= r_star."""
     lam = np.asarray(w(np.minimum(np.exp(0.5 * (m.t[1:] + m.t[:-1])),
                                   m.pair.R)))
-    return form_oracle.radial_minimum(lam, m.dt, m.dtheta, m.pair.r_star,
-                                      m.pair.R_star)[1]
+    return form_oracle.radial_obstacle_minimum(
+        lam, m.dt, m.dtheta, m.pair.r_star, m.pair.R_star)[1]
 
 
 class TestPolarGridMap:
@@ -431,6 +442,23 @@ class TestPerturbation:
                            match=r"^row 16 winding is not \+1$"):
             dc.perturb_map(dc.embed_radial(sol, 32, 32), 10.0, 7)
 
+    def test_inadmissible_start_is_not_repaired(self):
+        # the s-weight collapse embedding sits 1.48e-9 below r* (ROADMAP
+        # item 2); clipping the perturbed moduli into [r*, R*] would lift
+        # it, and the descent would run from a start that fails check()
+        w, pair = WEIGHTS["s"], rd.AnnulusPair(1.0, 2.0, 1.0, 1.05)
+        sol = rd.build(w, pair, n=4096)
+        m = dc.embed_radial(sol, 32, 32)
+        outside = r"^\|h\| outside \[r_star, R_star\]$"
+        with pytest.raises(dc.AdmissibilityError, match=outside):
+            m.check()
+        for amplitude in (0.0, 1e-12, 0.05):
+            with pytest.raises(dc.AdmissibilityError, match=outside):
+                dc.perturb_map(m, amplitude, 0)
+        with pytest.raises(dc.AdmissibilityError, match=outside):
+            dc.minimize_polar(w, pair, ns=32, ntheta=32, radial_solution=sol,
+                              perturbation=1e-12, seed=0)
+
     def test_seed_determinism(self):
         m = identity_map()
         a = dc.perturb_map(m, 0.05, 7)
@@ -530,23 +558,60 @@ class TestMinimizePolar:
             G2[i, 5] = sign * 0.5 * top * h[i, 5] / abs(h[i, 5])
             assert (dc._kkt_residual(h, G2, m) >= 0.4) == counts
 
-    # steps of the ten-quiet-step rule from the 64 x 64 twisted starts
-    TWISTED_STEPS = {dc.MODE_FREE: 65, dc.MODE_FIXED_OUTER: 44}
+    # The paper's three claims on the discrete problem, from twisted
+    # starts: nondecreasing weights on thick (R*/r* > m) and thin pairs;
+    # thin targets (R*/r* <= g) with s^-2 and 2+sin 4s on [1, 3]; a fixed
+    # outer boundary with s^-2 on [1, 3] at 2m and at sqrt(g m), in the
+    # gap.  Each descent ends at its grid's radial candidate, from above
+    # in every case measured; the bound is set from the measured relative
+    # gap (in the comment).  Collapsing pairs end flat, not at a KKT point,
+    # hence their looser bounds; at 64 x 64 the s and s^2 ones reach the
+    # 2000-step cap.  Steps are pinned for the two 64 x 64 starts (the KKT
+    # stop does not fire on their non-stationary quiet iterates).  Free
+    # thick decreasing pairs are item 3's xfail below.
+    M13, G13 = rd.thresholds(GATE_WEIGHTS["s^-2(1,3)"], 3.0)
+    FREE, FIXED = dc.MODE_FREE, dc.MODE_FIXED_OUTER
+    TWISTED = [
+        # weight, R*, mode, grid, steps, bound
+        pytest.param("1", 1.25, FREE, 64, 65, 1e-12,             # 8.5e-15
+                     id="1-1.25-free"),
+        pytest.param("1/s", 1.5, FIXED, 64, 44, 1e-12,           # 3.0e-16
+                     id="1/s-1.5-fixed_outer"),
+        pytest.param("1", 1.5, FREE, 32, None, 1e-12,            # 1.0e-15
+                     id="1-1.5-free"),
+        pytest.param("1", 1.05, FREE, 32, None, 1e-9,            # 2.3e-10
+                     id="1-1.05-free"),
+        pytest.param("s", 1.5, FREE, 32, None, 1e-12,            # 3.9e-16
+                     id="s-1.5-free"),
+        pytest.param("s", 1.05, FREE, 32, None, 1e-9,            # 2.4e-10
+                     id="s-1.05-free"),
+        pytest.param("s^2", 1.5, FREE, 32, None, 1e-12,          # 1.2e-14
+                     id="s^2-1.5-free"),
+        pytest.param("s^2", 1.05, FREE, 32, None, 1e-10,         # 6.9e-12
+                     id="s^2-1.05-free"),
+        pytest.param("s^-2(1,3)", 1.25, FREE, 32, None, 1e-10,   # 3.8e-11
+                     id="s^-2(1,3)-1.25-free"),
+        pytest.param("2+sin4s(1,3)", 1.25, FREE, 32, None, 1e-9,  # 3.1e-10
+                     id="2+sin4s(1,3)-1.25-free"),
+        pytest.param("s^-2(1,3)", 2 * M13, FIXED, 32, None, 1e-12,  # 0
+                     id="s^-2(1,3)-2m-fixed_outer"),
+        pytest.param("s^-2(1,3)", np.sqrt(G13 * M13), FIXED, 32, None,
+                     1e-10, id="s^-2(1,3)-sqrt(gm)-fixed_outer"),  # 2.2e-11
+    ]
 
-    @pytest.mark.parametrize("name, R_star, mode",
-                             [("1", 1.25, dc.MODE_FREE),
-                              ("1/s", 1.5, dc.MODE_FIXED_OUTER)])
+    @pytest.mark.parametrize("name, R_star, mode, n, steps, bound", TWISTED)
     def test_twisted_boundary_rows_end_at_radial_oracle(self, name, R_star,
-                                                        mode):
-        w, pair = WEIGHTS[name], rd.AnnulusPair(1.0, 2.0, 1.0, R_star)
-        init = twisted_map(pair, 64, mode)
+                                                        mode, n, steps, bound):
+        w = GATE_WEIGHTS[name]
+        pair = rd.AnnulusPair(w.r, w.R, 1.0, R_star)
+        init = twisted_map(pair, n, mode)
         init.check()
         m, rep = dc.minimize_polar(w, pair, mode=mode, init=init)
-        # the KKT stop does not fire on the non-stationary quiet iterates
-        assert rep.converged and rep.iterations == self.TWISTED_STEPS[mode]
+        assert rep.converged
+        assert steps is None or rep.iterations == steps
         m.check()
         E = oracle_minimum(w, m)
-        assert abs(rep.total - E) <= 1e-12 * E
+        assert abs(rep.total - E) <= bound * E
 
     # energy of the full-grid projected FISTA before the boundary
     # reduction, from the same 32 x 32 init (tol 1e-12, 45 steps)

@@ -164,7 +164,7 @@ class TestProofSteps:
     def test_margins_vanish_at_minimizer(self):
         sol = rd.build(UNIT, PAIR)
         m = dc.embed_radial(sol, 256, 256)
-        rep = lg.proof_step_suite(m, sol, UNIT)
+        rep = lg.proof_step_suite(m, sol)
         assert abs(rep.westim2) < 1e-10
         assert abs(rep.westim4) < 1e-9
         assert rep.westim1 is not None and rep.westim1 >= -1e-10
@@ -173,7 +173,7 @@ class TestProofSteps:
         sol = rd.build(UNIT, PAIR)
         for seed in range(4):
             m = lg.make_test_map(perturbed_spec(seed=seed, amplitude=0.08))
-            rep = lg.proof_step_suite(m, sol, UNIT)
+            rep = lg.proof_step_suite(m, sol)
             assert rep.westim1 >= -1e-9
             assert rep.westim2 >= -1e-9
             assert rep.westim4 >= -1e-9
@@ -183,7 +183,7 @@ class TestProofSteps:
         pair = rd.AnnulusPair(1, 2, 1, 1.02)
         sol = rd.build(UNIT, pair)
         m = dc.embed_radial(sol, 128, 128)
-        rep = lg.proof_step_suite(m, sol, UNIT)
+        rep = lg.proof_step_suite(m, sol)
         assert rep.westim1 is None
         assert rep.notes
         assert rep.westim2 >= -1e-10

@@ -295,6 +295,16 @@ class TestRecoverH:
         assert np.all(np.diff(prof.H) >= 0.0)
         assert prof.H[0] == 1.5
 
+    def test_lambda_is_the_grids(self):
+        # the profile reads lambda from the path's grid: another weight in
+        # the unused argument changes no bit of it
+        w = Weight.power(-2.0, 1.0, 2.0)
+        p = po.solve_phi_tilde(w, 1.0, 2.0, 0.2)
+        own = po.recover_H(p, w, 1.0)
+        other = po.recover_H(p, Weight.constant(1.0, 1.0, 2.0), 1.0)
+        assert other.H.tobytes() == own.H.tobytes()
+        assert other.Hdot.tobytes() == own.Hdot.tobytes()
+
 
 class TestNumericalKernels:
     @pytest.mark.parametrize("n", [0, 1, 4])
