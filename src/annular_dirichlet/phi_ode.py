@@ -64,8 +64,8 @@ class OdeGrid:
 
     Reusable across solves with different initial values: the RK4
     fundamental matrix of the linearised equation is built on first use,
-    by one band forward substitution, and turns every later `path` into
-    two O(n) array operations.
+    by one band forward substitution, and turns the pair of every later
+    `integrate` into two O(n) array operations.
     """
 
     def __init__(self, w: Weight, r, R, n=DEFAULT_N):
@@ -97,23 +97,25 @@ class OdeGrid:
         substitution that takes one rounded RK4 step per node."""
         return _fundamental_columns(self.lam, self.lam_half, self.h)
 
-    def path(self, phi0):
-        """(H, q = lambda H_t) = F (1, phi0) at every node."""
+    def integrate(self, phi0):
+        """(H, q = lambda H_t) = F (1, phi0) at every node, and phi_tilde =
+        q/H, which is -inf from the first node with H <= 0 on, where the
+        Riccati solution has blown up."""
         h0, h1, q0, q1 = self.columns
         phi0 = float(phi0)
-        return h0 + phi0 * h1, q0 + phi0 * q1
-
-    def integrate(self, phi0):
-        """phi_tilde = q/H of `path(phi0)`; from the first node with H <= 0
-        on, the Riccati solution has blown up to -inf."""
-        return _phi_tilde(*self.path(phi0))
+        H, q = h0 + phi0 * h1, q0 + phi0 * q1
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            y = q / H
+        dead = np.flatnonzero(H <= 0.0)
+        if dead.size:
+            y[dead[0]:] = -np.inf
+        return H, q, y
 
     def solve(self, phi0):
         """The characteristic ODE from phi0 on this grid: phi_tilde, phi =
         max(0, phi_tilde) and the collapse radius r0 (r when phi0 >= 0, R
         when phi_tilde stays negative); AccuracyError on a failed check."""
-        H, q = self.path(phi0)
-        y = _phi_tilde(H, q)
+        H, q, y = self.integrate(phi0)
         # largest finite-difference defect of (H, q) in H_t = q/lambda and
         # q_t/lambda = H, relative to max(|H|, |H_t|) at each node: the pair
         # stays smooth where phi_tilde = q/H is steep or blows up
@@ -142,16 +144,6 @@ class OdeGrid:
     def modulus(self, phi):
         """Composite-Simpson quadrature of Phi/(s lambda) ds = Phi/lambda dt."""
         return float(_simpson(phi / self.lam, self.h))
-
-
-def _phi_tilde(H, q):
-    """q/H, -inf from the first node with H <= 0 on."""
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        y = q / H
-    dead = np.flatnonzero(H <= 0.0)
-    if dead.size:
-        y[dead[0]:] = -np.inf
-    return y
 
 
 def _simpson(y, dx):

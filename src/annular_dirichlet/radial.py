@@ -46,10 +46,6 @@ class AnnulusPair:
             raise ValueError(f"need finite target radii 0 < r* < R*: {self}")
 
     @property
-    def mod_domain(self):
-        return float(np.log(self.R / self.r))
-
-    @property
     def mod_target(self):
         return float(np.log(self.R_star / self.r_star))
 
@@ -95,7 +91,7 @@ def find_initial_value(grid: OdeGrid, pair: AnnulusPair):
     """Initial value phi0 whose target modulus matches the annulus pair, on
     `grid`, the OdeGrid of the pair's domain and the weight.
 
-    Case 1 (phi0 >= 0): the path never clamps and its H (`grid.path`)
+    Case 1 (phi0 >= 0): the path never clamps and its H (`grid.integrate`)
     ends at R*/r*, so phi0 = (R*/r* - h0(R)) / h1(R).  Case 2: safeguarded
     Newton on the clamped modulus m(phi0), nondecreasing in phi0, in the
     bracket [-max lambda, 0] (a path from -max lambda stays below it, with
@@ -114,7 +110,7 @@ def find_initial_value(grid: OdeGrid, pair: AnnulusPair):
     while hi - lo > PHI0_INTERVAL_TOL * scale:
         if not lo < phi0 < hi:
             phi0 = 0.5 * (lo + hi)
-        y = grid.integrate(phi0)
+        H, _, y = grid.integrate(phi0)
         m = grid.modulus(np.maximum(0.0, y))
         if abs(m - target) <= MODULUS_TOL:
             return float(phi0)
@@ -123,7 +119,6 @@ def find_initial_value(grid: OdeGrid, pair: AnnulusPair):
         else:
             hi = phi0
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            H = grid.path(phi0)[0]
             dm = grid.modulus(np.where(y > 0, wronskian / (H * H), 0.0))
         phi0 = phi0 - (m - target) / dm if dm > 0 else hi
     return float(0.5 * (lo + hi))
@@ -189,11 +184,11 @@ def _threshold_m(g: OdeGrid):
 def _threshold_g(g: OdeGrid):
     """Thin-target threshold on the grid of its ratio.
 
-    With (H, q) = `g.path(phi0)` from the grid's fundamental matrix, the
-    condition phi_tilde = q/H <= lambda at a node where H > 0 reads
-    a + phi0 b <= 0, a = q0 - lambda h0, b = q1 - lambda h1.  phi_tilde
-    grows with phi0, so the largest admissible phi0 is the least -a/b over
-    the nodes with b > 0 (b = 1 at the left end).
+    With (H, q, phi_tilde = q/H) = `g.integrate(phi0)` from the grid's
+    fundamental matrix, the condition phi_tilde <= lambda at a node where
+    H > 0 reads a + phi0 b <= 0, a = q0 - lambda h0, b = q1 - lambda h1.
+    phi_tilde grows with phi0, so the largest admissible phi0 is the least
+    -a/b over the nodes with b > 0 (b = 1 at the left end).
 
     phi_tilde/lambda = H_t/H and q = lambda H_t increases, so H has a
     single minimum, where the clamped path has its kink (`_kink`).  From
@@ -207,13 +202,12 @@ def _threshold_g(g: OdeGrid):
     a, b = q0 - g.lam * h0, q1 - g.lam * h1
     up = b > 0
     phi_g = float(np.min(-a[up] / b[up]))
-    H, q = g.path(phi_g)
+    H, q, y = g.integrate(phi_g)
     if not np.all(H > 0):
         raise AccuracyError(
             f"threshold_g: the extreme path H = h0 + phi_g h1 reaches "
             f"{np.min(H):.3g} <= 0, cancelled in columns up to "
             f"{np.max(np.abs(h1)):.3g}")
-    y = g.integrate(phi_g)
     k = int(np.searchsorted(y >= 0, True))
     j = k + (len(y) - k + 1) % 2    # k + 1 if the count from k is even
     # H_j / min H; H(r) = 1 is least if k = 0

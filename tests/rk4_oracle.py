@@ -128,7 +128,7 @@ def bisect_threshold_g(grid):
 
 def clamped_modulus(grid, phi0):
     """Modulus of the clamped path max(0, phi_tilde) from phi0."""
-    return grid.modulus(np.maximum(0.0, grid.integrate(phi0)))
+    return grid.modulus(np.maximum(0.0, grid.integrate(phi0)[2]))
 
 
 def bisect_initial_value(grid, target):

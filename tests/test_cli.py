@@ -191,6 +191,22 @@ class TestSolveCommand:
         assert (out1 / "solution.json").read_bytes() == \
             (out2 / "solution.json").read_bytes()
 
+    @pytest.mark.parametrize("command", ["solve", "energy"])
+    def test_every_ratio_is_read_at_parse_time(self, tmp_path, capsys,
+                                               command):
+        # parse_config reads the weight on every rho/rho_values interval
+        # for every command, so a ratio past the samples fails a command
+        # that reads only the pair
+        samples = [[float(x), 1.0 + x] for x in np.linspace(1.0, 2.0, 11)]
+        cfg = {"weight": {"kind": "tabulated", "samples": samples},
+               "pair": {"r": 1.0, "R": 2.0, "r_star": 1.0, "R_star": 1.25},
+               "rho_values": [1.5, 3.0], "numerics": {"ode_grid": 1024}}
+        p = write_config(tmp_path, cfg)
+        rc = cli.main([command, "--config", str(p), "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: rho 3: tabulated samples cover [1, 2], not [1, 3]\n")
+
     @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
         "the ODE residual's finite-difference stencil spans the tabulated "
         "weight's kinks: 5.2e-5 at n=4096, 1.9e-5 at 16384, 4.2e-6 at "

@@ -21,7 +21,6 @@ def unit(r=1.0, R=2.0):
 class TestAnnulusPair:
     def test_moduli(self):
         pair = rd.AnnulusPair(1.0, 2.0, 3.0, 12.0)
-        assert pair.mod_domain == pytest.approx(np.log(2.0))
         assert pair.mod_target == pytest.approx(np.log(4.0))
 
     def test_validation(self):
@@ -46,7 +45,7 @@ class TestFindInitialValue:
                      rd.AnnulusPair(1, 2, 1, 2.0),
                      rd.AnnulusPair(1, 2, 1, 1.02)):
             phi0 = rd.find_initial_value(grid, pair)
-            phi = np.maximum(0.0, grid.integrate(phi0))
+            phi = np.maximum(0.0, grid.integrate(phi0)[2])
             mod = grid.modulus(phi)
             assert abs(mod - pair.mod_target) <= rd.MODULUS_TOL
 
@@ -79,6 +78,14 @@ def test_case1_initial_value_matches_power_closed_form(p, c, rho, f):
                                  rd.AnnulusPair(1.0, rho, 1.0, ratio))
     exact = c * power_oracle.initial_value(p, rho, ratio)
     assert abs(phi0 - exact) <= 1e-10 * max(c, abs(exact))
+
+
+def item10(raises, today):
+    """Strict xfail for ROADMAP item 10: for steep decreasing weights the
+    extreme path H = h0 + phi_g h1 loses its digits in the growing
+    columns, down to a nonpositive H."""
+    return pytest.mark.xfail(strict=True, raises=raises,
+                             reason=f"ROADMAP item 10, {today}")
 
 
 class CountingGrid(OdeGrid):
@@ -320,7 +327,7 @@ class TestThresholds:
         h0, h1, q0, q1 = grid.columns
         a, b = q0 - grid.lam * h0, q1 - grid.lam * h1
         phi_g = np.min(-a[b > 0] / b[b > 0])
-        excess = (grid.integrate(phi_g) - grid.lam) / grid.lam
+        excess = (grid.integrate(phi_g)[2] - grid.lam) / grid.lam
         assert np.max(excess) <= 1e-14
         assert np.max(excess) >= -1e-14
         assert np.min(h0 + phi_g * h1) > 0.0
@@ -334,6 +341,18 @@ class TestThresholds:
         # to a nonpositive value: a typed error, not an IndexError
         with pytest.raises(AccuracyError, match="extreme path"):
             rd.threshold_g(Weight.power(p, 1.0, rho), rho, n=n)
+
+    @pytest.mark.parametrize("p, rho", [
+        pytest.param(-12.0, 50.0, marks=item10(AccuracyError, "H at -4.3e3")),
+        pytest.param(-10.0, 50.0, marks=item10(AccuracyError, "H at -0.1")),
+        pytest.param(-24.0, 10.0, marks=item10(AccuracyError, "H at -8.9e6")),
+        pytest.param(-4.0, 50.0, marks=item10(AssertionError, "1.07e-9 off"))])
+    def test_g_on_steep_decreasing_weights_matches_closed_form(self, p, rho):
+        # for p < 0 the extreme path touches lambda at the outer end, so the
+        # closed form of tests/power_oracle is well conditioned in double
+        g_exact, _ = power_oracle.threshold_g(p, rho)
+        g = rd.threshold_g(Weight.power(p, 1.0, rho), rho)
+        assert g == pytest.approx(g_exact, rel=1e-12)
 
 
 class TestEnergyClosedForm:
@@ -466,3 +485,15 @@ def test_thresholds_match_power_weight_closed_forms(p, c, rho):
     # draws was 8.4e-13
     tol = 1e-12 if phi_g_nonnegative else 2e-12
     assert rd.threshold_g(w, rho) == pytest.approx(g_exact, rel=tol)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP item 10's latent flake: rounding, not truncation, leaves "
+    "threshold_g 1.53e-12 relative off at p = -0.1, rho = 5, n = 4096, past "
+    "the 1e-12 that test_thresholds_match_power_weight_closed_forms allows "
+    "when phi_g >= 0"))
+def test_g_at_a_slightly_decreasing_weight_within_1e_12():
+    g_exact, phi_g_nonnegative = power_oracle.threshold_g(-0.1, 5.0)
+    assert phi_g_nonnegative    # the branch held to 1e-12 above
+    w = Weight.power(-0.1, 1.0, 5.0, value=1.0)
+    assert rd.threshold_g(w, 5.0, n=4096) == pytest.approx(g_exact, rel=1e-12)
