@@ -42,14 +42,18 @@ class ConfigError(ValueError):
     pass
 
 
+def _document(text_or_dict):
+    """The JSON document in a config's text (a parsed one as it is)."""
+    try:
+        return json.loads(text_or_dict) if isinstance(text_or_dict, str) \
+            else text_or_dict
+    except json.JSONDecodeError as e:
+        raise ConfigError(f"config is not valid JSON: {e}") from e
+
+
 def parse_config(text_or_dict):
     """Parse and validate a JSON configuration document."""
-    raw = text_or_dict
-    if isinstance(raw, str):
-        try:
-            raw = json.loads(raw)
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"config is not valid JSON: {e}") from e
+    raw = _document(text_or_dict)
     _need(isinstance(raw, dict), "config", "a JSON object", raw)
     unknown = set(raw) - KNOWN_TOP
     if unknown:
@@ -83,39 +87,50 @@ def parse_config(text_or_dict):
             raise ConfigError("pair: target radii ordering "
                               "(need 0 < r_star < R_star)")
         cfg["pair"] = rd.AnnulusPair(p["r"], p["R"], p["r_star"], p["R_star"])
-    if "rho" in raw:
-        _need(_is_finite_number(raw["rho"]), "rho", "a finite number",
-              raw["rho"])
-        cfg["rho_values"] = [float(raw["rho"])]
-    if "rho_values" in raw:
-        rhos = raw["rho_values"]
-        _need(isinstance(rhos, list) and all(map(_is_finite_number, rhos)),
-              "rho_values", "a list of finite numbers", rhos)
-        cfg["rho_values"] = [float(x) for x in rhos]
+    for key, what in (("rho", "a finite number > 1"),
+                      ("rho_values", "a list of finite numbers > 1")):
+        if key in raw:
+            rhos = [raw[key]] if key == "rho" else raw[key]
+            _need(isinstance(rhos, list) and all(
+                _is_finite_number(x) and x > 1 for x in rhos), key, what,
+                raw[key])
+            cfg["rho_values"] = [float(x) for x in rhos]
+    if "rho" in raw and "rho_values" in raw:
+        raise ConfigError("give rho or rho_values, not both")
     if "weight" not in raw:
         raise ConfigError("config is missing the weight spec")
     cfg["weight_spec"] = raw["weight"]
     if "pair" in cfg:
-        r, R = cfg["pair"].r, cfg["pair"].R
-    elif cfg.get("rho_values"):
-        r, R = 1.0, max(cfg["rho_values"])
-    else:
+        cfg["weight"] = _weight_on(cfg, cfg["pair"].r, cfg["pair"].R)
+    elif not cfg.get("rho_values"):
         raise ConfigError("config needs a pair or a rho/rho_values query")
-    # the weight spec read on each ratio's own interval [r, r rho] (on the
-    # widest one a non-constant weight has the wrong ratio for the others),
-    # then on the domain
-    ratios = cfg.get("rho_values", [])
-    weights = []
-    for label, end in [(f"rho {rho:g}: ", r * rho) for rho in ratios] + [("", R)]:
-        try:
-            weights.append(weight_from_config(raw["weight"], r, end))
-        except WeightError as e:
-            raise ConfigError(label + str(e)) from e
-    *ratio_weights, cfg["weight"] = weights
-    cfg["ratio_weights"] = list(zip(ratios, ratio_weights))
     cfg["hash"] = _config_hash(raw)
     cfg["raw"] = raw
     return cfg
+
+
+def _weight_on(cfg, r, R, label=""):
+    """The weight spec read on [r, R], or ConfigError prefixed by label."""
+    try:
+        return weight_from_config(cfg["weight_spec"], r, R)
+    except WeightError as e:
+        raise ConfigError(label + str(e)) from e
+
+
+def _read_weights(cfg, command):
+    """Read the weight spec, into cfg, where `command` computes besides the
+    pair's [r, R] (parse_config reads it): on each ratio's own [r, r rho]
+    for a table, r = 1 without a pair (a non-constant weight read on the
+    widest has the wrong ratio for the others), and for verify without a
+    pair on A(1, 2), which it then maps onto A*(1, 1.25)."""
+    if command in ("threshold", "sweep"):
+        r = cfg["pair"].r if "pair" in cfg else 1.0
+        cfg["ratio_weights"] = [(rho, _weight_on(cfg, r, r * rho,
+                                                 f"rho {rho:g}: "))
+                                for rho in cfg.get("rho_values", [])]
+    elif command == "verify" and "pair" not in cfg:
+        cfg["pair"] = rd.AnnulusPair(1, 2, 1, 1.25)
+        cfg["weight"] = _weight_on(cfg, 1, 2)
 
 
 def _need(ok, key, what, value):
@@ -144,14 +159,18 @@ def _check_numerics(num):
 
 def with_overrides(raw, seed=None, grid=None, mode=None):
     """The raw config with the command-line overrides folded in, so that
-    its hash and effective_config.json describe the run."""
+    its hash and effective_config.json describe the run.  A document or a
+    section that is not a JSON object is left for parse_config to name."""
+    if not isinstance(raw, dict):
+        return raw
     out = dict(raw)
     fixed = None if mode is None else mode == "fixed-outer"
     for section, key, value in (("numerics", "seed", seed),
                                 ("numerics", "ode_grid", grid),
                                 ("mode", "fixed_outer_boundary", fixed)):
-        if value is not None:
-            out[section] = {**out.get(section, {}), key: value}
+        given = out.get(section, {})
+        if value is not None and isinstance(given, dict):
+            out[section] = {**given, key: value}
     return out
 
 
@@ -282,28 +301,14 @@ def _write_json(path, obj):
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _out_dir(cfg, override=None):
-    d = Path(override) if override else Path(cfg["output"]["directory"])
-    d.mkdir(parents=True, exist_ok=True)
-    return d
-
-
 def _meta(cfg, extra=None):
-    meta = {"config_hash": cfg["hash"],
-            "weight": json.dumps(cfg["weight_spec"], sort_keys=True)}
-    if extra:
-        meta.update(extra)
-    return meta
-
-
-def _echo_config(cfg, out):
-    _write_json(out / "effective_config.json",
-                {"config": cfg["raw"], "hash": cfg["hash"]})
+    return {"config_hash": cfg["hash"],
+            "weight": json.dumps(cfg["weight_spec"], sort_keys=True),
+            **(extra or {})}
 
 
 def cmd_solve(cfg, out):
-    pair = cfg["pair"]
-    w = cfg["weight"]
+    pair, w = cfg["pair"], cfg["weight"]
     sol = rd.build(w, pair, n=cfg["numerics"]["ode_grid"])
     s = sol.phi.s
     _write_csv(out / "solution.csv",
@@ -323,7 +328,7 @@ def cmd_solve(cfg, out):
 
 
 def cmd_thresholds(cfg, out, table):
-    """(rho, m, g) per ratio, each on its own interval (see parse_config):
+    """(rho, m, g) per ratio, each on its own interval (see _read_weights):
     the threshold and sweep commands, which differ in the table's name."""
     if not cfg.get("rho_values"):
         raise ConfigError("a threshold table needs rho or rho_values")
@@ -336,8 +341,7 @@ def cmd_thresholds(cfg, out, table):
 
 
 def cmd_energy(cfg, out):
-    pair = cfg["pair"]
-    w = cfg["weight"]
+    pair, w = cfg["pair"], cfg["weight"]
     sol = rd.build(w, pair, n=cfg["numerics"]["ode_grid"])
     emb = dc.embed_radial(sol, *cfg["numerics"]["polar_grid"])
     rv = dc.RadialVector(sol.phi.s, sol.profile.H)
@@ -352,8 +356,7 @@ def cmd_energy(cfg, out):
 
 
 def cmd_direct(cfg, out):
-    pair = cfg["pair"]
-    w = cfg["weight"]
+    pair, w = cfg["pair"], cfg["weight"]
     num = cfg["numerics"]
     mode = dc.MODE_FIXED_OUTER if cfg["mode"]["fixed_outer_boundary"] \
         else dc.MODE_FREE
@@ -390,21 +393,16 @@ def cmd_direct(cfg, out):
 
 
 def cmd_verify(cfg, out):
-    if "pair" in cfg:
-        pair, w = cfg["pair"], cfg["weight"]
-    else:   # a fallback pair, with the weight read on its own domain
-        pair = rd.AnnulusPair(1, 2, 1, 1.25)
-        w = weight_from_config(cfg["weight_spec"], pair.r, pair.R)
-    ns, ntheta = cfg["numerics"]["polar_grid"]
-    seed = cfg["numerics"]["seed"]
-    profile = lg.radial_profile(rd.build(w, pair,
-                                         n=cfg["numerics"]["ode_grid"]))
+    pair, w = cfg["pair"], cfg["weight"]   # see _read_weights
+    num = cfg["numerics"]
+    ns, ntheta = num["polar_grid"]
+    profile = lg.radial_profile(rd.build(w, pair, n=num["ode_grid"]))
     radial = lg.make_test_map(lg.TestMapSpec("radial", pair, ns, ntheta,
                                              profile=profile))
     maps = [("radial", radial),
             ("twist", lg.make_test_map(lg.TestMapSpec(
                 "twist", pair, ns, ntheta, profile=profile, twist=np.log))),
-            ("perturbed", dc.perturb_map(radial, 0.02, seed))]
+            ("perturbed", dc.perturb_map(radial, 0.02, num["seed"]))]
     one = np.ones_like
     checks = [
         ("fl_pullback", lambda m: lg.fl_pullback_residual(m, lambda G: one(G))),
@@ -412,8 +410,7 @@ def cmd_verify(cfg, out):
         ("fl_tangential", lambda m: lg.fl_tangential_residual(m, lambda s: one(s))),
         ("fl_boundary", lambda m: lg.fl_boundary_residual(
             m, lg.CFunction(lambda s, G: 1.0, lambda s, G: 0.0,
-                            lambda s, G: 0.0))),
-    ]
+                            lambda s, G: 0.0)))]
     rows = []
     for kind, m in maps:
         for name, fn in checks:
@@ -453,12 +450,14 @@ PARSER.add_argument("--mode", choices=["free", "fixed-outer"], default=None)
 def main(argv=None):
     args = PARSER.parse_args(argv)
     try:
-        cfg = parse_config(Path(args.config).read_text())
-        raw = with_overrides(cfg["raw"], args.seed, args.grid, args.mode)
-        if raw != cfg["raw"]:
-            cfg = parse_config(raw)
-        out = _out_dir(cfg, args.out)
-        _echo_config(cfg, out)
+        raw = with_overrides(_document(Path(args.config).read_text()),
+                             args.seed, args.grid, args.mode)
+        cfg = parse_config(raw)
+        _read_weights(cfg, args.command)
+        out = Path(args.out or cfg["output"]["directory"])
+        out.mkdir(parents=True, exist_ok=True)
+        _write_json(out / "effective_config.json",
+                    {"config": cfg["raw"], "hash": cfg["hash"]})
     except (ConfigError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

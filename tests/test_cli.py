@@ -32,6 +32,18 @@ def write_config(tmp_path, cfg):
     return p
 
 
+# tabulated samples on [1, 2]: they cover the ratio 1.5's [1, 1.5] and the
+# pair A(1, 2), not the ratio 3's [1, 3]
+SAMPLES_TO_2 = {
+    "weight": {"kind": "tabulated",
+               "samples": [[float(x), 1.0 + x]
+                           for x in np.linspace(1.0, 2.0, 11)]},
+    "rho_values": [1.5, 3.0],
+    "numerics": {"ode_grid": 1024, "polar_grid": [48, 48],
+                 "radial_grid": 256, "max_iter": 100},
+}
+
+
 def test_import_loads_no_heavy_scipy_subpackage():
     # scipy.linalg is the one scipy dependency; these would add about 0.3 s
     # to every cold start on a 2-core x86-64 host
@@ -143,6 +155,29 @@ class TestParseConfig:
             "error: rho 5: power weight must be finite on [1, 5]: "
             "non-finite value inf at s = 5\n")
 
+    @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+    @pytest.mark.parametrize("query, message", [
+        pytest.param({"rho_values": [0.5, 2.0]}, "rho_values must be a list "
+                     "of finite numbers > 1, got [0.5, 2.0]", id="rho_values"),
+        pytest.param({"rho": 1}, "rho must be a finite number > 1, got 1",
+                     id="rho")])
+    def test_ratio_at_most_1_named(self, tmp_path, capsys, command, query,
+                                   message):
+        p = write_config(tmp_path, dict(BASE, **query))
+        rc = cli.main([command, "--config", str(p), "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+    def test_rho_with_rho_values_named(self, tmp_path, capsys, command):
+        # one of the two would be dropped
+        p = write_config(tmp_path, dict(BASE, rho=1.5, rho_values=[2.0]))
+        rc = cli.main([command, "--config", str(p), "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == \
+            "error: give rho or rho_values, not both\n"
+        assert list(tmp_path.iterdir()) == [p]
+
     def test_missing_weight(self):
         bad = {k: v for k, v in BASE.items() if k != "weight"}
         with pytest.raises(cli.ConfigError):
@@ -191,21 +226,15 @@ class TestSolveCommand:
         assert (out1 / "solution.json").read_bytes() == \
             (out2 / "solution.json").read_bytes()
 
-    @pytest.mark.parametrize("command", ["solve", "energy"])
-    def test_every_ratio_is_read_at_parse_time(self, tmp_path, capsys,
-                                               command):
-        # parse_config reads the weight on every rho/rho_values interval
-        # for every command, so a ratio past the samples fails a command
-        # that reads only the pair
-        samples = [[float(x), 1.0 + x] for x in np.linspace(1.0, 2.0, 11)]
-        cfg = {"weight": {"kind": "tabulated", "samples": samples},
-               "pair": {"r": 1.0, "R": 2.0, "r_star": 1.0, "R_star": 1.25},
-               "rho_values": [1.5, 3.0], "numerics": {"ode_grid": 1024}}
-        p = write_config(tmp_path, cfg)
+    @pytest.mark.parametrize("command", ["solve", "energy", "direct",
+                                         "verify"])
+    def test_a_pair_command_reads_no_ratio(self, tmp_path, capsys, command):
+        # the weight is read on the pair's [1, 2] only, so a ratio past the
+        # samples does not fail a command that never reads it
+        p = write_config(tmp_path, dict(SAMPLES_TO_2, pair=BASE["pair"]))
         rc = cli.main([command, "--config", str(p), "--out", str(tmp_path)])
-        assert rc == 2
-        assert capsys.readouterr().err == (
-            "error: rho 3: tabulated samples cover [1, 2], not [1, 3]\n")
+        assert capsys.readouterr().err == ""
+        assert rc == 0
 
     @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
         "the ODE residual's finite-difference stencil spans the tabulated "
@@ -391,6 +420,12 @@ class TestVerifyCommand:
         assert rc == 0
         assert (tmp_path / "verify.csv").is_file()
 
+    def test_fallback_pair_reads_no_ratio(self, tmp_path, capsys):
+        p = write_config(tmp_path, SAMPLES_TO_2)
+        rc = cli.main(["verify", "--config", str(p), "--out", str(tmp_path)])
+        assert capsys.readouterr().err == ""
+        assert rc == 0
+
 
 class TestSweepCommand:
     @pytest.mark.parametrize("command, table", [("threshold", "thresholds.csv"),
@@ -445,6 +480,18 @@ class TestSweepCommand:
         rc = cli.main(["sweep", "--config", str(p), "--out", str(tmp_path)])
         assert rc == 2
         assert "rho 3.5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("pair", [None, BASE["pair"]])
+    @pytest.mark.parametrize("command", ["threshold", "sweep"])
+    def test_each_ratio_is_read(self, tmp_path, capsys, command, pair):
+        cfg = SAMPLES_TO_2 if pair is None else dict(SAMPLES_TO_2, pair=pair)
+        p = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        rc = cli.main([command, "--config", str(p), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: rho 3: tabulated samples cover [1, 2], not [1, 3]\n")
+        assert not out.exists()
 
 
 INF = float("inf")
@@ -599,6 +646,32 @@ class TestOverrides:
                 others = {"seed": seed, "grid": grid, "mode": mode, key: None}
                 partial = cli.parse_config(cli.with_overrides(BASE, **others))
                 assert partial["hash"] != cfg["hash"]
+
+    @pytest.mark.parametrize("text, key", [
+        pytest.param("[]", "config", id="top-list"),
+        pytest.param(_with(BASE, numerics=[]), "numerics", id="numerics"),
+        pytest.param(_with(BASE, mode=3), "mode", id="mode")])
+    def test_malformed_config_named_under_overrides(self, tmp_path, capsys,
+                                                    text, key):
+        # the overrides are folded in before the config is checked
+        p = tmp_path / "config.json"
+        p.write_text(text)
+        rc = cli.main(["solve", "--config", str(p), "--out", str(tmp_path),
+                       "--seed", "3", "--grid", "512", "--mode", "free"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {key} must be a JSON object, got ")
+
+    @pytest.mark.parametrize("overrides", [
+        [], ["--seed", "3", "--grid", "512", "--mode", "fixed-outer"]])
+    def test_config_parsed_once(self, tmp_path, monkeypatch, overrides):
+        calls, parse = [], cli.parse_config
+        monkeypatch.setattr(cli, "parse_config",
+                            lambda doc: calls.append(doc) or parse(doc))
+        p = write_config(tmp_path, BASE)
+        assert cli.main(["solve", "--config", str(p), "--out", str(tmp_path),
+                         *overrides]) == 0
+        assert len(calls) == 1
 
 
 SPECIAL_FLOATS = [0.0, -0.0, float("inf"), -float("inf"), float("nan"),
