@@ -20,7 +20,8 @@ import numpy as np
 from . import discrete as dc
 from . import lagrangians as lg
 from . import radial as rd
-from .weights import WeightError, _is_finite_number, weight_from_config
+from .weights import (WeightError, _check_spec, _is_finite_number,
+                      weight_from_config)
 
 DEFAULTS = {
     "numerics": {
@@ -99,6 +100,10 @@ def parse_config(text_or_dict):
         raise ConfigError("give rho or rho_values, not both")
     if "weight" not in raw:
         raise ConfigError("config is missing the weight spec")
+    try:
+        _check_spec(raw["weight"])    # on no interval: named in every command
+    except WeightError as e:
+        raise ConfigError(str(e)) from e
     cfg["weight_spec"] = raw["weight"]
     if "pair" in cfg:
         cfg["weight"] = _weight_on(cfg, cfg["pair"].r, cfg["pair"].R)

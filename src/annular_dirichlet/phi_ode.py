@@ -141,10 +141,6 @@ class OdeGrid:
         return PhiSolution(grid=self, phi_tilde=y, phi=np.maximum(0.0, y),
                            phi0=float(phi0), r0=float(r0), residual=residual)
 
-    def modulus(self, phi):
-        """Composite-Simpson quadrature of Phi/(s lambda) ds = Phi/lambda dt."""
-        return float(_simpson(phi / self.lam, self.h))
-
 
 def _simpson(y, dx):
     """Composite Simpson's rule on an odd count of at least 3 uniform
@@ -236,22 +232,33 @@ def _kink(g: OdeGrid, H, q, y, k):
     of the cubic Hermite interpolant of phi_tilde (end slopes from the ODE)
     and H(t0) that of H (end slopes q/lambda), both O(h^4) for a smooth
     weight.  H is least at t0, where q = 0."""
-    cell = slice(k - 1, k + 1)
-    t, lam, y = g.t[cell], g.lam[cell], y[cell]
-    h = t[1] - t[0]
-    # the cubic is nearly linear on the cell: its root there is the one
-    # next to the linear guess, the other two lie O(1/h) away
-    guess = y[0] / (y[0] - y[1])
-    roots = np.roots(_hermite(y, h * (lam - y * y / lam)))
-    u = float(np.clip(roots[np.argmin(np.abs(roots - guess))].real, 0.0, 1.0))
-    H_u = np.polyval(_hermite(H[cell], h * q[cell] / lam), u)
-    return t[0] + u * h, float(H_u)
+    # Python floats: numpy scalars cost more than the cell's arithmetic
+    (t0, t1), (l0, l1), (y0, y1), (H0, H1), (q0, q1) = (
+        a[k - 1:k + 1].tolist() for a in (g.t, g.lam, y, H, q))
+    h = t1 - t0
+    c3, c2, c1, c0 = _hermite(y0, y1, h * (l0 - y0 * y0 / l0),
+                              h * (l1 - y1 * y1 / l1))
+    # the cubic rises nearly linearly from y0 < 0 to y1 >= 0 (its other two
+    # roots lie O(1/h) away): Newton from the linear guess, bisecting [lo, hi]
+    u, lo, hi = y0 / (y0 - y1), 0.0, 1.0
+    for _ in range(100):
+        p = ((c3 * u + c2) * u + c1) * u + c0
+        lo, hi = (u, hi) if p < 0.0 else (lo, u)
+        dp = (3.0 * c3 * u + 2.0 * c2) * u + c1
+        new = u - p / dp if dp > 0.0 else np.nan
+        if not lo <= new <= hi:     # a step out of the bracket, or none
+            new = 0.5 * (lo + hi)
+        u, step = new, new - u
+        if abs(step) <= 2.0 ** -52:     # an ulp of 1, far below h's
+            break
+    c3, c2, c1, c0 = _hermite(H0, H1, h * q0 / l0, h * q1 / l1)
+    return t0 + u * h, ((c3 * u + c2) * u + c1) * u + c0
 
 
-def _hermite(v, d):
-    """The cubic on [0, 1] with end values v, slopes d, highest power first."""
-    (v0, v1), (d0, d1) = v, d
-    return [2 * v0 + d0 - 2 * v1 + d1, -3 * v0 - 2 * d0 + 3 * v1 - d1, d0, v0]
+def _hermite(v0, v1, d0, d1):
+    """The cubic on [0, 1] with end values v0, v1 and slopes d0, d1, highest
+    power first."""
+    return 2 * v0 + d0 - 2 * v1 + d1, -3 * v0 - 2 * d0 + 3 * v1 - d1, d0, v0
 
 
 def recover_H(p: PhiSolution, w: Weight, r_star):

@@ -1,11 +1,12 @@
 """Radial minimizer construction, thresholds and proof certificates.
 
 Builds the radial minimizer for an annulus pair from its initial value
-phi0 (one division in the homeomorphism case, safeguarded Newton on the
-clamped modulus in the collapsing case), computes the homeomorphism
-threshold m and the thin-target threshold g, the closed-form minimal
-energies, and the numerical certificates behind the monotone-weight and
-fixed-boundary minimality proofs.
+phi0 (one division in the homeomorphism case; in the collapsing case
+safeguarded Newton on the clamped modulus, whose value and slope are dot
+products with Simpson's weights over lambda), computes the homeomorphism
+threshold m = h0(R) and the thin-target threshold g, the closed-form
+minimal energies, and the numerical certificates behind the
+monotone-weight and fixed-boundary minimality proofs.
 """
 
 from __future__ import annotations
@@ -97,7 +98,7 @@ def find_initial_value(grid: OdeGrid, pair: AnnulusPair):
     bracket [-max lambda, 0] (a path from -max lambda stays below it, with
     modulus 0), from the case-1 value; a step that leaves the bracket
     bisects it.  dphi_tilde/dphi0 = (h0 q1 - h1 q0)/H^2, so dm/dphi0 is the
-    modulus of that on the nodes where phi_tilde > 0.
+    modulus of that where phi_tilde > 0; each is one dot product.
     """
     h0, h1, q0, q1 = grid.columns
     phi0 = (pair.R_star / pair.r_star - h0[-1]) / h1[-1]
@@ -105,21 +106,22 @@ def find_initial_value(grid: OdeGrid, pair: AnnulusPair):
         return float(phi0)
     target = pair.mod_target
     wronskian = h0 * q1 - h1 * q0
+    rule = np.r_[1.0, np.tile([4.0, 2.0], grid.n // 2)[:-1], 1.0]
+    simpson = rule * (grid.h / 3.0) / grid.lam  # Simpson's weights over lambda
     lo, hi = -grid.lam_max, 0.0
-    scale = max(1.0, grid.lam_max)
-    while hi - lo > PHI0_INTERVAL_TOL * scale:
+    while hi - lo > PHI0_INTERVAL_TOL * max(1.0, grid.lam_max):
         if not lo < phi0 < hi:
             phi0 = 0.5 * (lo + hi)
         H, _, y = grid.integrate(phi0)
-        m = grid.modulus(np.maximum(0.0, y))
+        # phi_tilde > 0 on a suffix of the nodes: the RK4 step matrix has
+        # positive entries, so H, q > 0 at a node stay so at the next
+        k = len(y) - np.count_nonzero(y > 0)
+        weights, H = simpson[k:], H[k:]
+        m = float(np.dot(weights, y[k:]))
         if abs(m - target) <= MODULUS_TOL:
             return float(phi0)
-        if m < target:
-            lo = phi0
-        else:
-            hi = phi0
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            dm = grid.modulus(np.where(y > 0, wronskian / (H * H), 0.0))
+        lo, hi = (phi0, hi) if m < target else (lo, phi0)
+        dm = float(np.dot(weights, wronskian[k:] / (H * H)))
         phi0 = phi0 - (m - target) / dm if dm > 0 else hi
     return float(0.5 * (lo + hi))
 
@@ -159,7 +161,7 @@ def _threshold_grid(w: Weight, rho, n):
 
 
 def threshold_m(w: Weight, rho, n=DEFAULT_N):
-    """Homeomorphism threshold: exp of the modulus integral at phi0 = 0."""
+    """Homeomorphism threshold: H(R)/H(r) on the phi0 = 0 path."""
     return _threshold_m(_threshold_grid(w, rho, n))
 
 
@@ -177,8 +179,9 @@ def thresholds(w: Weight, rho, n=DEFAULT_N):
 
 
 def _threshold_m(g: OdeGrid):
-    p = g.solve(0.0)
-    return float(np.exp(g.modulus(p.phi)))
+    """h0(R), after the phi0 = 0 path's checks: the ratio build splits on."""
+    g.solve(0.0)
+    return float(g.columns[0][-1])
 
 
 def _threshold_g(g: OdeGrid):

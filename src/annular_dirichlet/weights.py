@@ -142,8 +142,9 @@ def _is_finite_number(x):
         and bool(np.isfinite(x))
 
 
-def weight_from_config(spec, r, R):
-    """Build a Weight from the config-file dictionary form."""
+def _check_spec(spec):
+    """Raise WeightError unless the config-file form of a weight has a known
+    kind, its keys only and values of the right types; a table's samples."""
     if not isinstance(spec, dict) or "kind" not in spec:
         raise WeightError("weight spec must be a dict with a 'kind' key")
     kind = spec["kind"]
@@ -160,16 +161,23 @@ def weight_from_config(spec, r, R):
         if not _is_finite_number(spec.get(key, 1.0)):
             raise WeightError(f"weight.{key} must be a finite number, "
                               f"got {spec[key]!r}")
-    if kind == "constant":
+    if kind == "tabulated":
+        try:
+            pts = np.asarray(spec.get("samples"), dtype=float)
+        except (TypeError, ValueError):
+            pts = np.empty(0)
+        if pts.ndim != 2 or pts.shape[1] != 2 or not np.all(np.isfinite(pts)):
+            raise WeightError("weight.samples must be a list of finite "
+                              "[s, lambda] pairs")
+        return pts
+
+
+def weight_from_config(spec, r, R):
+    """Build a Weight on [r, R] from the config-file dictionary form."""
+    pts = _check_spec(spec)
+    if spec["kind"] == "constant":
         return Weight.constant(spec.get("value", 1.0), r, R)
-    if kind == "power":
+    if spec["kind"] == "power":
         return Weight.power(spec.get("exponent", 1.0), r, R,
                             value=spec.get("value", 1.0))
-    try:
-        pts = np.asarray(spec.get("samples"), dtype=float)
-    except (TypeError, ValueError):
-        pts = np.empty(0)
-    if pts.ndim != 2 or pts.shape[1] != 2 or not np.all(np.isfinite(pts)):
-        raise WeightError("weight.samples must be a list of finite "
-                          "[s, lambda] pairs")
     return Weight.tabulated(pts[:, 0], pts[:, 1], r=r, R=R)

@@ -1,10 +1,12 @@
 """Independent oracle for `phi_ode`: fixed-step RK4 on the nonlinear
 characteristic equation dPhi/dt = lambda - Phi^2/lambda, one Python step at
 a time, the same steps on its linearisation for the fundamental matrix, a
-bisection for the zero of phi_tilde inside one grid cell, the least value
-of a cubic Hermite interpolant on one cell, the
-thin-target threshold g by bracketing and bisection on the initial value,
-and the collapsing-case initial value by bisection of the clamped modulus.
+bisection for the zero of phi_tilde inside one grid cell, the kink of the
+clamped path from the companion-matrix roots of its cell cubic, the least
+value of a cubic Hermite interpolant on one cell, the thin-target
+threshold g by bracketing and bisection on the initial value, Simpson's
+rule for the modulus, and the collapsing-case initial value by bisection
+of the clamped modulus.
 
 The package integrates the linearised equation instead; the two are
 different discretisations of the same ODE, so they agree to the RK4
@@ -12,6 +14,7 @@ truncation error, not bit for bit.
 """
 
 import numpy as np
+from scipy.integrate import simpson
 
 
 def rk4_path(grid, phi0):
@@ -90,6 +93,27 @@ def bisect_root(w, t_lo, y_lo, t_hi, R, substeps=4, iters=60):
     return float(np.exp(0.5 * (a + b)))
 
 
+def companion_kink(grid, H, q, y, k):
+    """(t0, H(t0)) as `phi_ode._kink` defines them, with t0 from numpy's
+    companion-matrix roots of phi_tilde's cubic Hermite on [t_{k-1}, t_k]
+    (the root next to the linear guess, clipped to the cell) and H(t0) from
+    `np.polyval` of H's."""
+    cell = slice(k - 1, k + 1)
+    t, lam, y = grid.t[cell], grid.lam[cell], y[cell]
+    h = t[1] - t[0]
+    guess = y[0] / (y[0] - y[1])
+    roots = np.roots(_hermite(y, h * (lam - y * y / lam)))
+    u = float(np.clip(roots[np.argmin(np.abs(roots - guess))].real, 0.0, 1.0))
+    H_u = np.polyval(_hermite(H[cell], h * q[cell] / lam), u)
+    return float(t[0] + u * h), float(H_u)
+
+
+def _hermite(v, d):
+    """The cubic on [0, 1] with end values v, slopes d, highest power first."""
+    (v0, v1), (d0, d1) = v, d
+    return [2 * v0 + d0 - 2 * v1 + d1, -3 * v0 - 2 * d0 + 3 * v1 - d1, d0, v0]
+
+
 def cell_minimum(y0, y1, d0, d1):
     """Least value on [0, 1] of the cubic with end values y0, y1 and end
     slopes d0, d1 (per unit cell), from the roots of its derivative."""
@@ -122,13 +146,18 @@ def bisect_threshold_g(grid):
             lo = mid
         else:
             hi = mid
-    return float(np.exp(grid.modulus(np.maximum(0.0, rk4_path(grid, lo)))))
+    return float(np.exp(modulus(grid, np.maximum(0.0, rk4_path(grid, lo)))))
 
+
+def modulus(grid, phi):
+    """Simpson's rule for the modulus int Phi/lambda dt on the grid's nodes
+    (the root function of the collapsing-case initial value)."""
+    return float(simpson(phi / grid.lam, dx=grid.h))
 
 
 def clamped_modulus(grid, phi0):
     """Modulus of the clamped path max(0, phi_tilde) from phi0."""
-    return grid.modulus(np.maximum(0.0, grid.integrate(phi0)[2]))
+    return modulus(grid, np.maximum(0.0, grid.integrate(phi0)[2]))
 
 
 def bisect_initial_value(grid, target):

@@ -556,6 +556,23 @@ class TestMalformedConfig:
         assert rc == 2, err
         assert err.startswith(f"error: {key} ") or f" {key} " in err, err
 
+    @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+    def test_weight_spec_named_before_any_interval(self, tmp_path, capsys,
+                                                   command):
+        # without a pair, solve, energy and direct read the weight on no
+        # interval, and threshold, sweep and verify on others than the
+        # pair's: the spec's keys and types are checked first, in every
+        # command, and nothing is written
+        p = write_config(tmp_path, {"weight": {"kind": "power",
+                                               "exponent": "x"},
+                                    "rho_values": [1.5]})
+        out = tmp_path / "out"
+        rc = cli.main([command, "--config", str(p), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == \
+            "error: weight.exponent must be a finite number, got 'x'\n"
+        assert not out.exists()
+
 
 class TestErrorPaths:
     def test_bad_config_returns_2(self, tmp_path, capsys):

@@ -7,8 +7,8 @@ from annular_dirichlet import phi_ode as po
 from annular_dirichlet.weights import Weight
 
 from conftest import closed_form_phi
-from rk4_oracle import (bisect_root, cell_minimum, fundamental_columns,
-                        rk4_path)
+from rk4_oracle import (bisect_root, cell_minimum, companion_kink,
+                        fundamental_columns, modulus, rk4_path)
 
 
 def k_for_phi0(phi0, s=1.0):
@@ -98,14 +98,14 @@ class TestOdeGrid:
         p = grid.solve(7.027001980692148)
         assert p.grid is grid
         assert len(p.s) == len(p.phi) == grid.n + 1
-        assert p.grid.modulus(p.phi) == pytest.approx(np.log(5.0), abs=1e-9)
+        assert modulus(p.grid, p.phi) == pytest.approx(np.log(5.0), abs=1e-9)
 
     def test_modulus_of_identity_profile(self):
         # phi == lambda gives H(s) = const * s, modulus log(R/r)
         w = Weight.constant(1.0, 1.0, 2.0)
         grid = po.OdeGrid(w, 1.0, 2.0)
         p = grid.solve(1.0)
-        assert p.grid.modulus(p.phi) == pytest.approx(np.log(2.0), abs=1e-12)
+        assert modulus(p.grid, p.phi) == pytest.approx(np.log(2.0), abs=1e-12)
 
     @pytest.mark.parametrize("r, R, n, message", [
         (1.0, 2.0, 15, "grid size too small: 15"),
@@ -200,6 +200,61 @@ class TestAgainstNonlinearRk4:
         dH = (grid.t[k] - grid.t[k - 1]) * q[cell] / grid.lam[cell]
         ref = cell_minimum(*H[cell], *dH)
         assert abs(H_kink - ref) <= 1e-14 * ref
+
+
+KINK_WEIGHTS = {**LAM_WEIGHTS, "s^-2": Weight.power(-2.0, 1.0, 3.0),
+                "s^2": Weight.power(2.0, 1.0, 2.0)}
+
+
+class TestKink:
+    """`_kink`'s scalar Newton root against numpy's companion-matrix roots
+    of the same cell cubic (`rk4_oracle.companion_kink`)."""
+
+    @pytest.fixture(scope="class", params=[(name, n) for name in
+                                           sorted(KINK_WEIGHTS)
+                                           for n in (256, 1024, 4096)],
+                    ids=lambda p: f"{p[0]}-{p[1]}")
+    def grid(self, request):
+        name, n = request.param
+        w = KINK_WEIGHTS[name]
+        return po.OdeGrid(w, w.r, w.R, n)
+
+    @staticmethod
+    def assert_same_kink(grid, H, q, y, k):
+        t0, H_kink = po._kink(grid, H, q, y, k)
+        ref_t0, ref_H = companion_kink(grid, H, q, y, k)
+        assert grid.t[k - 1] <= t0 <= grid.t[k]
+        # measured within 1.1e-16 (an ulp of t0 at most), H(t0) identical
+        assert abs(t0 - ref_t0) <= 2.3e-16
+        assert H_kink == ref_H
+
+    def test_random_collapsing_cells(self, grid):
+        rng = np.random.default_rng(int(grid.n + 1000 * grid.lam_max))
+        cells = 0
+        for phi0 in -grid.lam_max * rng.uniform(0.0, 1.0, 40):
+            H, q, y = grid.integrate(phi0)
+            if y[-1] >= 0:      # the path turns nonnegative inside [r, R]
+                cells += 1
+                self.assert_same_kink(grid, H, q, y,
+                                      int(np.searchsorted(y >= 0, True)))
+        assert cells >= 5, cells
+
+    @pytest.mark.parametrize("y0, y1", [(None, 0.0), (None, 1e-300),
+                                        (-1e-300, None)],
+                             ids=["root-at-the-right-end", "guess-1",
+                                  "guess-0"])
+    def test_edge_cells(self, grid, y0, y1):
+        # phi_tilde exactly 0 at the right node, and linear guesses
+        # y0/(y0 - y1) at either end of the bracket [0, 1]
+        H, q, y = grid.integrate(-0.2 * grid.lam[0])
+        k = int(np.searchsorted(y >= 0, True))
+        y = y.copy()
+        y[k - 1] = y[k - 1] if y0 is None else y0
+        y[k] = y[k] if y1 is None else y1
+        self.assert_same_kink(grid, H, q, y, k)
+        if y1 == 0.0:
+            assert po._kink(grid, H, q, y, k)[0] == pytest.approx(
+                grid.t[k], abs=2.3e-16)
 
 
 class TestFundamentalColumns:
@@ -383,4 +438,4 @@ def test_modulus_monotone_in_phi0(phi0, n):
     grid = po.OdeGrid(w, 1.0, 2.0, n=n)
     lo = grid.solve(phi0)
     hi = grid.solve(phi0 + 0.005)
-    assert hi.grid.modulus(hi.phi) > lo.grid.modulus(lo.phi)
+    assert modulus(grid, hi.phi) > modulus(grid, lo.phi)

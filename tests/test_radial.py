@@ -1,3 +1,4 @@
+import math
 import warnings
 from functools import lru_cache
 
@@ -11,7 +12,7 @@ from annular_dirichlet.weights import Weight
 
 import power_oracle
 from rk4_oracle import (bisect_initial_value, bisect_threshold_g,
-                        clamped_modulus)
+                        clamped_modulus, modulus)
 
 
 def unit(r=1.0, R=2.0):
@@ -46,7 +47,7 @@ class TestFindInitialValue:
                      rd.AnnulusPair(1, 2, 1, 1.02)):
             phi0 = rd.find_initial_value(grid, pair)
             phi = np.maximum(0.0, grid.integrate(phi0)[2])
-            mod = grid.modulus(phi)
+            mod = modulus(grid, phi)
             assert abs(mod - pair.mod_target) <= rd.MODULUS_TOL
 
     def test_sign_encodes_case(self):
@@ -138,7 +139,7 @@ def test_case2_initial_value_meets_the_modulus_contract(p, c, rho, f):
     ids=["1", "s", "1/s", "s^-4", "s^3", "2+sin4s"])
 @pytest.mark.parametrize("f", [1e-6, 0.5])
 def test_case2_build_raises_no_warning(w, f):
-    # the Newton slope divides by H^2 on every node, dead ones included
+    # the Newton slope divides by H^2 on the nodes where phi_tilde > 0
     m = OdeGrid(w, 1.0, 3.0).columns[0][-1]
     pair = rd.AnnulusPair(1.0, 3.0, 1.0, 1.0 + f * (m - 1.0))
     with warnings.catch_warnings():
@@ -191,12 +192,10 @@ def test_case2_collapse_radius_within_1e_10():
     assert max(case2_errors(*case)[1] for case in CASE2_GRID) <= 1e-10
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="build splits the cases on h0(R) of the fundamental "
-                   "matrix, threshold_m on Simpson's rule for Phi/lambda: "
-                   "they disagree within an ulp of m, 10 of these 24 probes "
-                   "(ROADMAP item 2 takes both from one root)")
 def test_case1_exactly_from_the_threshold():
+    # build splits the cases on h0(R) of the fundamental matrix, and
+    # threshold_m returns that h0(R): with Simpson's rule for Phi/lambda
+    # instead, 10 of these 24 probes within an ulp of m disagreed
     wrong = []
     for w in (unit(1.0, 1.5), unit(), Weight.power(-2.0, 1.0, 1.5),
               Weight.power(-2.0, 1.0, 2.0)):
@@ -368,6 +367,37 @@ class TestEnergyClosedForm:
         e = rd.energy_closed_form(sol)
         assert e == pytest.approx(2 * np.pi * (3 / 8 + np.log(2) / 2),
                                   abs=1e-7)
+
+    # The collapse integral int_r^r0 lambda/s ds against exact integrals,
+    # with r0 and Phi(R) the solution's own (r* = 1), on A(1, 2) -> A*(1,
+    # 1.05).  Bounds from measurement: the 2049-point Simpson rule is
+    # 1.1e-11 off on the table, whose kinks it crosses, and within 1.8e-15
+    # (an ulp of the energy) on powers.  Simpson's rule on the grid's nodes
+    # and half nodes, with a parabolic end piece, is 2.5e-8 off on the table.
+
+    def test_case2_collapse_integral_of_a_table(self):
+        w = Weight.from_callable(lambda s: 2.0 + np.sin(4.0 * s), 1.0, 2.0,
+                                 samples=8193)
+        sol = rd.build(w, rd.AnnulusPair(1.0, 2.0, 1.0, 1.05))
+        assert sol.case_tag == rd.CASE2
+        s, lam = w.abscissae, w.ordinates
+        b = np.minimum(s[1:], sol.r0)
+        keep = s[:-1] < sol.r0
+        slope = np.diff(lam) / np.diff(s)
+        # int_a^b (lam_a + slope (s - a))/s ds on each piece up to r0
+        pieces = ((lam[:-1] - slope * s[:-1]) * np.log(b / s[:-1])
+                  + slope * (b - s[:-1]))[keep]
+        exact = 2 * np.pi * (1.05 ** 2 * sol.phi.phi[-1] + math.fsum(pieces))
+        assert abs(sol.energy - exact) <= 2e-11
+
+    @pytest.mark.parametrize("p", [1.0, -1.0, 2.0, -2.0])
+    def test_case2_collapse_integral_of_a_power(self, p):
+        sol = rd.build(Weight.power(p, 1.0, 2.0),
+                       rd.AnnulusPair(1.0, 2.0, 1.0, 1.05))
+        assert sol.case_tag == rd.CASE2
+        exact = 2 * np.pi * (1.05 ** 2 * sol.phi.phi[-1]
+                             + (sol.r0 ** p - 1.0) / p)
+        assert abs(sol.energy - exact) <= 4e-15
 
 
 class TestCertificate:
