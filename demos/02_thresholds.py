@@ -27,8 +27,10 @@ print()
 print("oscillating weight lambda(s) = 2 + sin(4s)")
 print(f"{'rho':>6} {'m(rho)':>16} {'g(rho)':>16}")
 for rho in (1.5, 2.0, 3.0):
-    # non-constant weights live on a specific interval; define the weight
-    # on [1, rho] to ask about the ratio rho
+    # a weight answers every ratio up to its own, on [1, rho]; tabulate it
+    # on [1, rho] itself, so that its samples fall on that grid's nodes
+    # (one tabulation on [1, 3] puts kinks between the nodes of [1, 1.5]
+    # and [1, 2], and the ODE residual check then fails there)
     w = Weight.from_callable(lambda s: 2.0 + np.sin(4.0 * s), 1.0, rho,
                              samples=8193)
     print(f"{rho:6.2f} {threshold_m(w, rho):16.10f} "

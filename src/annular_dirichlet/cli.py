@@ -105,37 +105,32 @@ def parse_config(text_or_dict):
     except WeightError as e:
         raise ConfigError(str(e)) from e
     cfg["weight_spec"] = raw["weight"]
-    if "pair" in cfg:
-        cfg["weight"] = _weight_on(cfg, cfg["pair"].r, cfg["pair"].R)
-    elif not cfg.get("rho_values"):
+    if "pair" not in cfg and not cfg.get("rho_values"):
         raise ConfigError("config needs a pair or a rho/rho_values query")
     cfg["hash"] = _config_hash(raw)
     cfg["raw"] = raw
     return cfg
 
 
-def _weight_on(cfg, r, R, label=""):
-    """The weight spec read on [r, R], or ConfigError prefixed by label."""
+def _read_weight(cfg, command):
+    """Read the weight spec once, into cfg["weight"], on the one interval
+    `command` computes on: [r, r max rho] for a table (r = 1 without a pair;
+    radial answers each ratio on its prefix), else the pair's [r, R], on
+    A(1, 2) for verify without a pair, which it maps onto A*(1, 1.25)."""
+    table = command in ("threshold", "sweep")
+    if command == "verify":
+        cfg.setdefault("pair", rd.AnnulusPair(1, 2, 1, 1.25))
+    r, rhos = cfg["pair"].r if "pair" in cfg else 1.0, cfg.get("rho_values")
+    if table and rhos:
+        R, label = r * max(rhos), f"rho {max(rhos):g}: "
+    elif not table and "pair" in cfg:
+        R, label = cfg["pair"].R, ""
+    else:
+        return   # the command names what it lacks
     try:
-        return weight_from_config(cfg["weight_spec"], r, R)
+        cfg["weight"] = weight_from_config(cfg["weight_spec"], r, R)
     except WeightError as e:
         raise ConfigError(label + str(e)) from e
-
-
-def _read_weights(cfg, command):
-    """Read the weight spec, into cfg, where `command` computes besides the
-    pair's [r, R] (parse_config reads it): on each ratio's own [r, r rho]
-    for a table, r = 1 without a pair (a non-constant weight read on the
-    widest has the wrong ratio for the others), and for verify without a
-    pair on A(1, 2), which it then maps onto A*(1, 1.25)."""
-    if command in ("threshold", "sweep"):
-        r = cfg["pair"].r if "pair" in cfg else 1.0
-        cfg["ratio_weights"] = [(rho, _weight_on(cfg, r, r * rho,
-                                                 f"rho {rho:g}: "))
-                                for rho in cfg.get("rho_values", [])]
-    elif command == "verify" and "pair" not in cfg:
-        cfg["pair"] = rd.AnnulusPair(1, 2, 1, 1.25)
-        cfg["weight"] = _weight_on(cfg, 1, 2)
 
 
 def _need(ok, key, what, value):
@@ -333,13 +328,13 @@ def cmd_solve(cfg, out):
 
 
 def cmd_thresholds(cfg, out, table):
-    """(rho, m, g) per ratio, each on its own interval (see _read_weights):
-    the threshold and sweep commands, which differ in the table's name."""
+    """(rho, m, g) per ratio, from the one weight (see _read_weight): the
+    threshold and sweep commands, which differ in the table's name."""
     if not cfg.get("rho_values"):
         raise ConfigError("a threshold table needs rho or rho_values")
     n = cfg["numerics"]["ode_grid"]
-    rows = [(rho, *rd.thresholds(w, rho, n=n))
-            for rho, w in cfg["ratio_weights"]]
+    rows = [(rho, *rd.thresholds(cfg["weight"], rho, n=n))
+            for rho in cfg["rho_values"]]
     _write_csv(out / table, _meta(cfg), ["rho", "m_lambda", "g_lambda"],
                list(zip(*rows)))
     return 0
@@ -398,7 +393,7 @@ def cmd_direct(cfg, out):
 
 
 def cmd_verify(cfg, out):
-    pair, w = cfg["pair"], cfg["weight"]   # see _read_weights
+    pair, w = cfg["pair"], cfg["weight"]   # see _read_weight
     num = cfg["numerics"]
     ns, ntheta = num["polar_grid"]
     profile = lg.radial_profile(rd.build(w, pair, n=num["ode_grid"]))
@@ -458,7 +453,7 @@ def main(argv=None):
         raw = with_overrides(_document(Path(args.config).read_text()),
                              args.seed, args.grid, args.mode)
         cfg = parse_config(raw)
-        _read_weights(cfg, args.command)
+        _read_weight(cfg, args.command)
         out = Path(args.out or cfg["output"]["directory"])
         out.mkdir(parents=True, exist_ok=True)
         _write_json(out / "effective_config.json",

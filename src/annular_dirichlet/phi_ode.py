@@ -106,9 +106,8 @@ class OdeGrid:
         H, q = h0 + phi0 * h1, q0 + phi0 * q1
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             y = q / H
-        dead = np.flatnonzero(H <= 0.0)
-        if dead.size:
-            y[dead[0]:] = -np.inf
+        if H.min() <= 0.0:     # no index array on a live path
+            y[np.argmax(H <= 0.0):] = -np.inf
         return H, q, y
 
     def solve(self, phi0):

@@ -145,18 +145,19 @@ def build(w: Weight, pair: AnnulusPair, n=DEFAULT_N):
 
 
 def _threshold_grid(w: Weight, rho, n):
-    """Grid for a threshold at ratio rho.  Thresholds depend only on the
-    ratio: the weight's own interval serves when its ratio is rho; a
-    constant weight also answers any other ratio, on [1, rho]."""
+    """Grid on [r, r rho] for a threshold at ratio rho, which lambda there
+    fixes: the weight's own at its own ratio, else [1, rho] for a constant
+    weight and the prefix for a smaller ratio; ValueError past it."""
     if not 1 < rho < np.inf:
         raise ValueError(f"need 1 < rho < inf, got {rho}")
     r, R = w.r, w.R
     if not abs(R / r - rho) <= RATIO_RTOL * abs(rho):
-        if w.kind != "constant":
-            raise ValueError(
-                "threshold ratio must match the weight's interval ratio "
-                "(except for constant weights)")
-        w, r, R = Weight.constant(w.value, 1.0, rho), 1.0, rho
+        if w.kind == "constant":
+            w, r = Weight.constant(w.value, 1.0, rho), 1.0
+        elif rho > R / r:
+            raise ValueError(f"threshold ratio {rho:g} reaches past the "
+                             f"weight's interval [{r:g}, {R:g}]")
+        R = r * rho
     return OdeGrid(w, r, R, n)
 
 

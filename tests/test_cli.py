@@ -15,7 +15,7 @@ from annular_dirichlet import cli
 from annular_dirichlet import discrete as dc
 from annular_dirichlet import lagrangians as lg
 from annular_dirichlet import radial as rd
-from annular_dirichlet.weights import Weight
+from annular_dirichlet.weights import Weight, weight_from_config
 
 
 BASE = {
@@ -396,15 +396,14 @@ class TestVerifyCommand:
             BASE["numerics"], seed=5)))
         assert cli.main(["verify", "--config", str(p),
                          "--out", str(tmp_path)]) == 0
-        cfg = cli.parse_config(json.dumps(BASE))
-        profile = lg.radial_profile(rd.build(cfg["weight"], cfg["pair"],
-                                             n=1024))
-        radial = lg.TestMapSpec("radial", cfg["pair"], 48, 48,
-                                profile=profile)
+        pair = rd.AnnulusPair(**BASE["pair"])
+        w = weight_from_config(BASE["weight"], pair.r, pair.R)
+        profile = lg.radial_profile(rd.build(w, pair, n=1024))
+        radial = lg.TestMapSpec("radial", pair, 48, 48, profile=profile)
         specs = [radial,
-                 lg.TestMapSpec("twist", cfg["pair"], 48, 48,
+                 lg.TestMapSpec("twist", pair, 48, 48,
                                 profile=profile, twist=np.log),
-                 lg.TestMapSpec("perturbed", cfg["pair"], 48, 48, base=radial,
+                 lg.TestMapSpec("perturbed", pair, 48, 48, base=radial,
                                 amplitude=0.02, seed=5)]
         assert len(maps) == 3
         for m, spec in zip(maps, specs):
@@ -431,7 +430,8 @@ class TestSweepCommand:
     @pytest.mark.parametrize("command, table", [("threshold", "thresholds.csv"),
                                                 ("sweep", "sweep.csv")])
     def test_power_weight_several_rhos(self, tmp_path, command, table):
-        # a non-constant weight is read on each ratio's own interval
+        # a non-constant weight read on [1, 3] answers each ratio on its
+        # prefix [1, rho], as the weight read there would
         rhos = [1.5, 2.0, 3.0]
         cfg = {"weight": {"kind": "power", "exponent": 1.0},
                "rho_values": rhos, "numerics": {"ode_grid": 1024}}
@@ -456,7 +456,8 @@ class TestSweepCommand:
     @pytest.mark.parametrize("command, table", [("threshold", "thresholds.csv"),
                                                 ("sweep", "sweep.csv")])
     def test_tabulated_weight_several_rhos(self, tmp_path, command, table):
-        # samples on [1, 3]: the ratio 2.1 reads them on [1, 2.1]
+        # samples on [1, 3]: the ratio 2.1 is answered on [1, 2.1], as by
+        # the samples cut there
         cfg = {"weight": {"kind": "tabulated", "samples": self.SAMPLES},
                "rho_values": [2.1, 3.0], "numerics": {"ode_grid": 1024}}
         p = write_config(tmp_path, cfg)
@@ -484,6 +485,7 @@ class TestSweepCommand:
     @pytest.mark.parametrize("pair", [None, BASE["pair"]])
     @pytest.mark.parametrize("command", ["threshold", "sweep"])
     def test_each_ratio_is_read(self, tmp_path, capsys, command, pair):
+        # one read on [1, max rho] covers every ratio and names the largest
         cfg = SAMPLES_TO_2 if pair is None else dict(SAMPLES_TO_2, pair=pair)
         p = write_config(tmp_path, cfg)
         out = tmp_path / "out"
@@ -491,6 +493,51 @@ class TestSweepCommand:
         assert rc == 2
         assert capsys.readouterr().err == (
             "error: rho 3: tabulated samples cover [1, 2], not [1, 3]\n")
+        assert not out.exists()
+
+
+class TestWeightRead:
+    """Each command reads the weight spec once, on the one interval it
+    computes on; parse_config reads it on none."""
+
+    def test_one_read_per_command(self, tmp_path, monkeypatch):
+        calls, read = [], cli.weight_from_config
+        monkeypatch.setattr(cli, "weight_from_config", lambda spec, r, R:
+                            calls.append((r, R)) or read(spec, r, R))
+        with_pair = dict(BASE, rho_values=[1.5, 2, 5])
+        without = {k: v for k, v in with_pair.items() if k != "pair"}
+        cli.parse_config(with_pair)
+        seen = {"parse_config": calls[:]}
+        for command, cfg in [*((c, with_pair) for c in sorted(cli.COMMANDS)),
+                             ("verify without a pair", without)]:
+            calls.clear()
+            p = write_config(tmp_path, cfg)
+            assert cli.main([command.split()[0], "--config", str(p),
+                             "--out", str(tmp_path / "out")]) == 0
+            seen[command] = calls[:]
+        pair, table = [(1, 2)], [(1, 5)]
+        assert seen == {"parse_config": [], "solve": pair, "energy": pair,
+                        "direct": pair, "verify": pair, "threshold": table,
+                        "sweep": table, "verify without a pair": [(1, 2)]}
+
+    def test_a_table_reads_no_pair(self, tmp_path, capsys):
+        # samples on [1, 2] cover the ratios' [1, 2], not the pair's [1, 3],
+        # which solve reads
+        cfg = dict(SAMPLES_TO_2, rho_values=[1.5, 2.0], pair={
+            "r": 1.0, "R": 3.0, "r_star": 1.0, "R_star": 2.0})
+        p = write_config(tmp_path, cfg)
+        for command, table in [("threshold", "thresholds.csv"),
+                               ("sweep", "sweep.csv")]:
+            assert cli.main([command, "--config", str(p),
+                             "--out", str(tmp_path)]) == 0
+            rows = [ln for ln in (tmp_path / table).read_text().splitlines()
+                    if not ln.startswith("#")][1:]
+            assert [float(row.split(",")[0]) for row in rows] == [1.5, 2.0]
+        capsys.readouterr()
+        out = tmp_path / "solve"
+        assert cli.main(["solve", "--config", str(p), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: tabulated samples cover [1, 2], not [1, 3]\n")
         assert not out.exists()
 
 

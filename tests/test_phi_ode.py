@@ -173,6 +173,16 @@ class TestAgainstNonlinearRk4:
         np.testing.assert_array_equal(np.maximum(0.0, ours),
                                       np.maximum(0.0, rk4_path(grid, -3.0)))
 
+    @pytest.mark.parametrize("phi0, dies", [(-3.0, True), (0.4, False)])
+    def test_blown_up_exactly_from_the_first_dead_node(self, grid, phi0,
+                                                       dies):
+        H, _, y = grid.integrate(phi0)
+        dead = np.flatnonzero(H <= 0.0)
+        first = dead[0] if dead.size else len(H)
+        assert bool(dead.size) == dies
+        assert np.isneginf(y[first:]).all()
+        assert np.isfinite(y[:first]).all()
+
     @pytest.mark.parametrize("phi0", [-0.45, -0.3, -0.05, -0.01])
     def test_collapse_radius_matches_bisection(self, grid, phi0):
         w = grid.w

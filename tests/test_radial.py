@@ -273,12 +273,19 @@ class TestThresholds:
         assert m == pytest.approx(2.6, abs=1e-8)
 
     @pytest.mark.parametrize("fn", [rd.threshold_m, rd.threshold_g])
-    def test_other_ratio_of_a_non_constant_weight_raises(self, fn):
-        # only a constant weight answers ratios other than its interval's
-        with pytest.raises(ValueError, match=r"^threshold ratio must match "
-                           r"the weight's interval ratio \(except for "
-                           r"constant weights\)$"):
+    def test_ratio_past_a_non_constant_weight_raises(self, fn):
+        # only a constant weight answers ratios past its interval's
+        with pytest.raises(ValueError, match=r"^threshold ratio 3 reaches "
+                           r"past the weight's interval \[1, 2\]$"):
             fn(Weight.power(1.0, 1.0, 2.0), 3.0)
+
+    @pytest.mark.parametrize("p", [1.0, -1.0])
+    @pytest.mark.parametrize("fn", [rd.threshold_m, rd.threshold_g])
+    def test_smaller_ratio_is_read_on_the_prefix(self, fn, p):
+        # a threshold depends on lambda on [r, r rho] only: a weight on
+        # [1, 2] answers 1.5 on the same grid as one on [1, 1.5]
+        assert fn(Weight.power(p, 1.0, 2.0), 1.5) == \
+            fn(Weight.power(p, 1.0, 1.5), 1.5)
 
     @pytest.mark.parametrize("rho", [1.0, np.inf, np.nan])
     def test_ratio_must_be_finite_and_above_one(self, rho):
