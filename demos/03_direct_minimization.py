@@ -3,9 +3,10 @@
 The 1-D path minimizes over radial profiles H(s) >= r* with one banded
 solve, which also gives the contact index of a collapse plateau.  The 2-D
 path minimizes over full polar-grid maps with the boundary rows on the
-target circles, started from a smooth random perturbation of the embedded
-radial minimizer: the interior is eliminated exactly, mode by mode, and
-the descent moves only the two boundary rows.  Neither ever beats the closed form, and both
+target circles, started from a smooth random perturbation of the grid's
+radial candidate (the same banded solve at the grid's angular step): the
+interior is eliminated exactly, mode by mode, and the descent moves only
+the two boundary rows.  Neither ever beats the closed form, and both
 approach it from above.
 """
 
@@ -33,7 +34,7 @@ print(f"discrete energy of the embedded radial minimizer: "
       f"{discrete_min:.8f}")
 for seed in range(4):
     m, prep = minimize_polar(w, pair, ns=128, ntheta=128, seed=seed,
-                             perturbation=0.05, radial_solution=sol)
+                             perturbation=0.05)
     print(f"  seed {seed}: E = {prep.total:.8f}, "
           f"gap vs embedded minimizer {prep.total - discrete_min:+.2e}, "
           f"converged {prep.converged} in {prep.iterations} steps, "

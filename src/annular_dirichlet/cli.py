@@ -365,8 +365,7 @@ def cmd_direct(cfg, out):
     ns, ntheta = num["polar_grid"]
     pm, prep = dc.minimize_polar(
         w, pair, ns=ns, ntheta=ntheta, mode=mode, seed=num["seed"],
-        perturbation=num["perturbation"], max_iter=num["max_iter"],
-        radial_solution=sol)
+        perturbation=num["perturbation"], max_iter=num["max_iter"])
     _write_json(out / "direct.json", {
         "config_hash": cfg["hash"],
         "closed_form": sol.energy,

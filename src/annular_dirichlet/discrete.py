@@ -300,6 +300,36 @@ class CylinderForm:
         Z of shape (modes, ns - 2, 2) and S of shape (modes, 2, 2)."""
         return _reduce(*self.block(np.arange(self.ntheta // 2 + 1)))
 
+    def radial_minimum(self, r_star, R_star):
+        """Minimizer H >= r_star of the radial energy (B_1) with H_0 =
+        r_star, H_n = R_star.  One banded solve (`_reduce`) gives X and Y,
+        the interior solutions for end values (1, 0) and (0, 1).  Pinned
+        to r_star at node j, the solution on j..n is a_j X + R_star Y,
+        a_j = (r_star - R_star Y_j) / X_j, so every contact index j is
+        tried at once: H = r_star up to the least j whose next value is
+        >= r_star.  While H > 0 the flux lambda H_t grows, so j = 0
+        exactly when r_star X + R_star Y stays above r_star.  The KKT
+        multipliers on the contact set must be nonnegative and H monotone
+        (FeasibilityError otherwise)."""
+        diag, off = self.block(1)
+        X, Y = np.zeros((2, self.lam.size + 1))
+        X[0], Y[-1] = 1.0, 1.0
+        X[1:-1], Y[1:-1] = -_reduce(diag[None], off[None])[0][0].T
+        a = (r_star - R_star * Y[:-1]) / X[:-1]
+        feasible = a * X[1:] + R_star * Y[1:] >= r_star
+        j = int(np.argmax(feasible))
+        H = a[j] * X + R_star * Y
+        H[:j + 1] = r_star
+        grad = 2 * diag * H
+        grad[1:] += 2 * off * H[:-1]
+        grad[:-1] += 2 * off * H[1:]
+        if np.any(grad[1:j + 1] < 0):
+            raise FeasibilityError("negative obstacle multiplier at contact "
+                                   f"node {1 + int(np.argmin(grad[1:j + 1]))}")
+        if np.any(np.diff(H) < 0):
+            raise FeasibilityError("radial minimizer is not monotone")
+        return H
+
     def radial_energy(self, H):
         """Energy of h = H(t) e^{i theta}, from the differences of H."""
         c, d = self._factors(1)
@@ -323,45 +353,15 @@ def radial_energy(w: Weight, rv: RadialVector, check=True):
 
 
 def minimize_radial(w: Weight, pair: rd.AnnulusPair, n=2048):
-    """Direct minimization over radial profiles H >= r_star with
-    H(r) = r_star, H(R) = R_star: B_1 of the cylinder form at dtheta = 0.
-    An ODE-independent oracle for the radial minimizer.
-
-    One banded solve (`_reduce`) gives X and Y, the solutions of the
-    interior equations with end values (1, 0) and (0, 1).  Pinned to
-    H_j = r_star and H_n = R_star the solution on nodes j..n is
-    a_j X + R_star Y, a_j = (r_star - R_star Y_j) / X_j, so its next
-    value is read off for every contact index j at once.  H = r_star up
-    to the contact index, the least j whose next value is >= r_star.
-    While H > 0 the flux lambda H_t grows, so j = 0 exactly when
-    r_star X + R_star Y stays above r_star.  The KKT multipliers
-    on the contact set must be nonnegative and H monotone
-    (FeasibilityError otherwise).  rep.iterations is the one solve.
-    """
+    """`CylinderForm.radial_minimum` at dtheta = 0 on n cells: the radial
+    minimizer without the ODE.  rep.iterations is the one solve."""
     if n < 3:
         raise ValueError(f"minimize_radial needs n >= 3 cells, got {n}")
     t = np.linspace(np.log(pair.r), np.log(pair.R), n + 1)
     s = np.exp(t)
     s[0], s[-1] = pair.r, pair.R
     form = CylinderForm(cell_weights(w, t, pair.R), (t[-1] - t[0]) / n, 0.0)
-    diag, off = form.block(1)
-    X, Y = np.zeros((2, n + 1))
-    X[0], Y[-1] = 1.0, 1.0
-    X[1:-1], Y[1:-1] = -_reduce(diag[None], off[None])[0][0].T
-    r_star, R_star = pair.r_star, pair.R_star
-    a = (r_star - R_star * Y[:-1]) / X[:-1]
-    feasible = a * X[1:] + R_star * Y[1:] >= r_star
-    j = int(np.argmax(feasible))
-    H = a[j] * X + R_star * Y
-    H[:j + 1] = r_star
-    grad = 2 * diag * H
-    grad[1:] += 2 * off * H[:-1]
-    grad[:-1] += 2 * off * H[1:]
-    if np.any(grad[1:j + 1] < 0):
-        raise FeasibilityError("negative obstacle multiplier at contact "
-                               f"node {1 + int(np.argmin(grad[1:j + 1]))}")
-    if np.any(np.diff(H) < 0):
-        raise FeasibilityError("radial minimizer is not monotone")
+    H = form.radial_minimum(pair.r_star, pair.R_star)
     return RadialVector(s=s, H=H), EnergyReport(form.radial_energy(H),
                                                 iterations=1)
 
@@ -517,39 +517,40 @@ def minimize_polar(w: Weight, pair: rd.AnnulusPair, ns=256, ntheta=256,
                    radial_solution: rd.RadialSolution | None = None):
     """Projected descent over admissible polar-grid maps.
 
-    The start map is `init`, else the embedded radial minimizer
-    (`radial_solution` or `rd.build(w, pair)`): `ns`, `ntheta` and `mode`
-    shape only that default.  It must be on `pair` (ValueError), and its
-    grid and mode are those of the projection, the descent and the
-    result.  `perturbation` > 0 adds a seeded smooth perturbation.  For
-    fixed boundary rows the interior minimizer of the form is linear in
-    them (`CylinderForm.boundary_reduction`), so the descent runs on the
-    two boundary rows only (row 0 only in fixed-outer mode): its gradient
-    is (2 / ntheta) ifft(S_k b_k) and its step 1/L_S, L_S = (2 / ntheta)
-    max_k lambda_max(S_k); the interior is their extension
-    -ifft(Z_k b_k).  If the final extension leaves [r_star, R_star], the
-    relaxation is infeasible (collapsing pairs) and the descent runs on
-    the whole grid from the start map instead.  Both descents are
-    `_descend`, whose projection clamps the moduli into [r_star, R_star]
-    and re-pins the boundary rows for the mode, and whose KKT residual
-    (`_kkt_residual`) stops it at a stationary quiet step.  The start and
-    the final map are each checked once (`PolarGridMap.check`); a final
-    map that is not admissible raises FeasibilityError.  rep.iterations
-    counts the steps of both descents, and rep.kkt_residual is the final
-    map's on the whole grid.
+    The start is `init`, else the grid's radial candidate H(t) e^{i theta}
+    with H = `CylinderForm.radial_minimum` of the descent's own form, or
+    else the embedded `radial_solution` (`ns`, `ntheta` and `mode` shape
+    only these defaults).  It must be on `pair` (ValueError) and brings
+    the result's grid and mode.  `perturbation` > 0 adds a seeded smooth
+    perturbation.  The interior minimizer of the form is linear in the
+    boundary rows (`CylinderForm.boundary_reduction`), so the descent runs
+    on those rows only (row 0 only in fixed-outer mode): gradient
+    (2 / ntheta) ifft(S_k b_k), step 1/L_S, L_S = (2 / ntheta)
+    max_k lambda_max(S_k), interior -ifft(Z_k b_k).  If that extension
+    leaves [r_star, R_star] (collapsing pairs), the whole grid descends
+    from the start instead; the candidate is a KKT point there.  Both are
+    `_descend`, whose projection clamps the moduli and re-pins the
+    boundary rows, and whose KKT residual stops it at a stationary quiet
+    step.  Start and result are checked once each; an inadmissible result
+    raises FeasibilityError.  rep.iterations counts the steps of both
+    descents, and rep.kkt_residual is the result's.
     """
-    if init is None:
-        sol = radial_solution if radial_solution is not None \
-            else rd.build(w, pair)
-        init = embed_radial(sol, ns, ntheta, mode)
+    candidate = init is None and radial_solution is None
+    if candidate:
+        init = PolarGridMap(np.empty((ns, ntheta), dtype=complex), pair, mode)
+    elif init is None:
+        init = embed_radial(radial_solution, ns, ntheta, mode)
     if init.pair != pair:
         raise ValueError(f"start map is on {init.pair}, not on {pair}")
+    form = CylinderForm.on(w, init)
+    if candidate:
+        H = form.radial_minimum(pair.r_star, pair.R_star)
+        init.h[:] = H[:, None] * np.exp(1j * init.theta)
     if perturbation > 0:
         init = perturb_map(init, perturbation, seed)
     else:
         init.check()
     ns, ntheta = init.h.shape
-    form = CylinderForm.on(w, init)
     Z, S = form.boundary_reduction()
     L_S = 2 / ntheta * np.linalg.eigvalsh(S)[:, -1].max()
     k = np.minimum(np.arange(ntheta), ntheta - np.arange(ntheta))

@@ -59,7 +59,7 @@ def test_criterion_02_case1_minimal_energy():
     for seed in range(N_SEEDS):
         _, prep = dc.minimize_polar(UNIT, pair, ns=256, ntheta=256,
                                     seed=seed, perturbation=0.05,
-                                    max_iter=350, radial_solution=sol)
+                                    max_iter=350)
         polar_min = min(polar_min, prep.total)
         converged &= prep.converged
     elapsed = time.perf_counter() - t0
@@ -97,7 +97,7 @@ def test_criterion_04_conformal_sanity():
     m0 = dc.embed_radial(sol, 256, 256)
     e0 = dc.polar_energy(UNIT, m0).total
     _, prep = dc.minimize_polar(UNIT, pair, ns=256, ntheta=256,
-                                init=m0, max_iter=300, radial_solution=sol)
+                                init=m0, max_iter=300)
     drift = abs(prep.total - e0) / e0
     ok = closed_err < 1e-6 and drift < 2e-3
     report(4, "conformal configuration energy and fixed point", ok,
@@ -118,7 +118,7 @@ def test_criterion_05_thin_target_threshold():
     for seed in range(N_SEEDS):
         _, prep = dc.minimize_polar(w, pair, ns=128, ntheta=128,
                                     seed=seed, perturbation=0.05,
-                                    max_iter=250, radial_solution=sol)
+                                    max_iter=250)
         polar_min = min(polar_min, prep.total)
         converged &= prep.converged
     ok = g_ok and converged and polar_min >= lower
@@ -138,8 +138,7 @@ def test_criterion_06_fixed_outer_boundary():
     for seed in range(N_SEEDS):
         _, prep = dc.minimize_polar(w, pair, ns=128, ntheta=128,
                                     mode=dc.MODE_FIXED_OUTER, seed=seed,
-                                    perturbation=0.05, max_iter=250,
-                                    radial_solution=sol)
+                                    perturbation=0.05, max_iter=250)
         polar_min = min(polar_min, prep.total)
         converged &= prep.converged
     ok = converged and polar_min >= lower and fb.residual <= 1e-6

@@ -334,6 +334,24 @@ class TestDirectCommand:
         assert d["radial_solves"] == 1
         assert (tmp_path / "polar_map.csv").exists()
 
+    def test_collapsing_pair_converges_at_the_radial_candidate(self,
+                                                                 tmp_path):
+        # the benchmark's collapse config: the s weight on A(1, 2) ->
+        # A*(1, 1.05) at 96 x 96; the grid's radial candidate is a KKT
+        # point, so one boundary step and one full-grid step converge
+        cfg = {"weight": {"kind": "power", "exponent": 1.0},
+               "pair": {"r": 1.0, "R": 2.0, "r_star": 1.0, "R_star": 1.05},
+               "numerics": {"ode_grid": 4096, "polar_grid": [96, 96],
+                            "max_iter": 200}}
+        p = write_config(tmp_path, cfg)
+        rc = cli.main(["direct", "--config", str(p), "--out", str(tmp_path)])
+        assert rc == 0
+        d = json.loads((tmp_path / "direct.json").read_text())
+        assert d["polar_converged"] is True
+        assert d["polar_iterations"] == 2
+        assert d["polar_kkt_residual"] <= 1e-11
+        assert d["polar_minimized"] >= d["closed_form"] * (1 - 5e-3)
+
     def test_fixed_outer_mode_flag(self, tmp_path):
         p = write_config(tmp_path, BASE)
         rc = cli.main(["direct", "--config", str(p), "--out", str(tmp_path),
@@ -918,14 +936,16 @@ class TestCsvWriter:
         return tables, maps
 
     # 96² writes every node; 256² every 4th node per axis.  The collapse
-    # config's table holds the Phi = 0 plateau and values below 1e-4.
+    # config's solve table holds the Phi = 0 plateau and values below
+    # 1e-4; its direct map holds the contact rows.
     @pytest.mark.parametrize("command, grid, weight, R_star", [
         *(pytest.param(command, grid, BASE["weight"], 1.25,
                        id=f"{command}-{grid}")
           for command in ["direct", "solve", "threshold", "verify"]
           for grid in [256, 96]),
-        pytest.param("solve", 96, {"kind": "power", "exponent": 1.0}, 1.05,
-                     id="collapse-solve-96")])
+        *(pytest.param(command, 96, {"kind": "power", "exponent": 1.0}, 1.05,
+                       id=f"collapse-{command}-96")
+          for command in ["solve", "direct"])])
     def test_artifacts_match_per_value_writer(self, tmp_path, recorded,
                                               command, grid, weight, R_star):
         cfg = dict(BASE, weight=weight, rho_values=[1.5, 2.0, 5.0],
@@ -937,9 +957,13 @@ class TestCsvWriter:
         assert cli.main([command, "--config", str(p), "--out", str(out)]) == 0
         tables, maps = recorded
         [(path, meta, names, columns)] = tables
-        if R_star == 1.05:   # some floats take the per-value fallback
+        if R_star == 1.05 and command == "solve":
+            # some floats take the per-value fallback
             phi = np.asarray(columns[names.index("phi")])
             assert (phi == 0).any() and ((0 < phi) & (phi < 1e-4)).any()
+        if R_star == 1.05 and command == "direct":
+            # the contact rows are r* e^{i theta}, to rounding
+            assert np.abs(np.abs(maps[0].h[:2]) - 1.0).max() <= 4e-16
         rows = zip(*columns)
         if command == "direct":
             rows = csv_oracle.polar_map_rows(maps[0])

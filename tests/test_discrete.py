@@ -613,6 +613,52 @@ class TestMinimizePolar:
         E = oracle_minimum(w, m)
         assert abs(rep.total - E) <= bound * E
 
+    # The default start is the grid's radial candidate.  On collapsing
+    # pairs its boundary-row extension leaves the annulus, and the
+    # candidate is a KKT point of the full-grid descent: one boundary step
+    # and one full-grid step end at the oracle.
+    WEIGHTS_13 = {"1": Weight.constant(1.0, 1.0, 3.0),
+                  "s": Weight.power(1.0, 1.0, 3.0),
+                  "1/s": Weight.power(-1.0, 1.0, 3.0),
+                  "s^2": Weight.power(2.0, 1.0, 3.0),
+                  "s^-2": GATE_WEIGHTS["s^-2(1,3)"]}
+    COLLAPSING = [*(pytest.param(name, 1.05, id=f"{name}-1.05")
+                    for name in WEIGHTS_13),
+                  pytest.param("s^-2", 0.999 * G13, id="s^-2-0.999g"),
+                  pytest.param("s^-2", np.sqrt(G13 * M13), id="s^-2-sqrt(gm)")]
+
+    @pytest.mark.parametrize("mode", [FREE, FIXED])
+    @pytest.mark.parametrize("name, R_star", COLLAPSING)
+    def test_default_start_on_collapsing_pairs_is_the_oracle(self, name,
+                                                            R_star, mode):
+        w = self.WEIGHTS_13[name]
+        pair = rd.AnnulusPair(1.0, 3.0, 1.0, R_star)
+        m, rep = dc.minimize_polar(w, pair, ns=32, ntheta=32, mode=mode)
+        assert rep.converged
+        assert rep.iterations <= 2
+        assert rep.kkt_residual <= dc.KKT_TOL
+        E = oracle_minimum(w, m)
+        assert abs(rep.total - E) <= 1e-12 * E
+
+    # on case-1 pairs the boundary stage reads only the start's boundary
+    # rows, which the candidate and the embedded solution share bit for bit
+    @pytest.mark.parametrize("perturbation", [0.0, 0.05])
+    @pytest.mark.parametrize("name, R_star, mode", [("1", 1.5, FREE),
+                                                    ("s", 1.5, FREE),
+                                                    ("1/s", 1.5, FIXED),
+                                                    ("2+sin4s", 2.0, FREE)])
+    def test_default_start_on_case1_pairs_as_from_the_solution(
+            self, name, R_star, mode, perturbation):
+        w, pair = WEIGHTS[name], rd.AnnulusPair(1.0, 2.0, 1.0, R_star)
+        kw = dict(ns=32, ntheta=32, mode=mode, seed=3,
+                  perturbation=perturbation)
+        m, rep = dc.minimize_polar(w, pair, **kw)
+        m_sol, rep_sol = dc.minimize_polar(
+            w, pair, radial_solution=rd.build(w, pair), **kw)
+        assert m.h.tobytes() == m_sol.h.tobytes()
+        assert rep.total == rep_sol.total
+        assert rep.iterations == rep_sol.iterations
+
     # energy of the full-grid projected FISTA before the boundary
     # reduction, from the same 32 x 32 init (tol 1e-12, 45 steps)
     FULL_GRID_COLLAPSE = 4.518751247533227
