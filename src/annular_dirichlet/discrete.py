@@ -157,11 +157,12 @@ def winding_number(m: PolarGridMap, row):
     return _row_steps(m, row)[1]
 
 
-def _negative_share(Dt, Dth):
-    """Share of cells, by their `cell_diffs`, with negative Jacobian density
-    Im(conj(h_t) h_theta), i.e. J_h * s^2, the Jacobian against the
-    measure dt dtheta."""
-    return float(np.mean(np.imag(np.conj(Dt) * Dth) < 0))
+def _negative_share(m: PolarGridMap, Dt, Dth):
+    """Share of m's cells, by their `cell_diffs`, whose Jacobian density
+    Im(conj(h_t) h_theta) (J_h * s^2, against dt dtheta) is below -64 eps
+    R_star^2 / (dt dtheta), which bounds the rounding of a zero density."""
+    tol = 64 * np.finfo(float).eps * m.pair.R_star ** 2 / (m.dt * m.dtheta)
+    return float(np.mean(np.imag(np.conj(Dt) * Dth) < -tol))
 
 
 def cell_diffs(h, dt, dtheta):
@@ -362,8 +363,7 @@ def minimize_radial(w: Weight, pair: rd.AnnulusPair, n=2048):
     s[0], s[-1] = pair.r, pair.R
     form = CylinderForm(cell_weights(w, t, pair.R), (t[-1] - t[0]) / n, 0.0)
     H = form.radial_minimum(pair.r_star, pair.R_star)
-    return RadialVector(s=s, H=H), EnergyReport(form.radial_energy(H),
-                                                iterations=1)
+    return RadialVector(s=s, H=H), EnergyReport(form.radial_energy(H), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -470,15 +470,15 @@ def _kkt_residual(h, G, m: PolarGridMap):
 
 
 def _descend(x0, grad, project, kkt, L, max_iter):
-    """Projected FISTA with function-value restarts and step 1/L on the
-    quadratic with gradient `grad`.  The gradient is linear, so a step
-    applies it once, to the new iterate: its gradient G gives its energy
-    Re<G, x>/2 and, with the previous one, the gradient at the
-    extrapolated point.  A step whose energy changes by at most POLAR_TOL
-    (relative) is quiet.  The descent converges at a quiet step whose
-    iterate has `kkt` residual at most KKT_TOL (stationary), or else at the
-    10th quiet step in a row (flat).  Returns (x, steps, converged).
-    """
+    """Projected FISTA with function-value restarts (none at the first
+    step, whose y is x0) and step 1/L on the quadratic with gradient
+    `grad`.  The gradient is linear, so a step applies it once, to the new
+    iterate: its gradient G gives its energy Re<G, x>/2 and, with the
+    previous one, the gradient at the extrapolated point.  A step whose
+    energy changes by at most POLAR_TOL (relative) is quiet.  The descent
+    converges at a quiet step whose iterate has `kkt` residual at most
+    KKT_TOL (stationary), or else at the 10th quiet step in a row (flat).
+    Returns (x, steps, converged)."""
     step = 1.0 / L
     h = x0.copy()
     G_h = grad(h)
@@ -491,7 +491,7 @@ def _descend(x0, grad, project, kkt, L, max_iter):
         h_new = project(y - step * G_y)
         G_new = grad(h_new)
         E_new = 0.5 * np.vdot(G_new, h_new).real
-        if E_new > E_cur:   # momentum overshoot: restart from h
+        if E_new > E_cur and t_k > 1.0:   # overshoot: restart from h
             t_k = 1.0
             h_new = project(h - step * G_h)
             G_new = grad(h_new)
@@ -528,13 +528,12 @@ def minimize_polar(w: Weight, pair: rd.AnnulusPair, ns=256, ntheta=256,
     (2 / ntheta) ifft(S_k b_k), step 1/L_S, L_S = (2 / ntheta)
     max_k lambda_max(S_k), interior -ifft(Z_k b_k).  If that extension
     leaves [r_star, R_star] (collapsing pairs), the whole grid descends
-    from the start instead; the candidate is a KKT point there.  Both are
-    `_descend`, whose projection clamps the moduli and re-pins the
-    boundary rows, and whose KKT residual stops it at a stationary quiet
-    step.  Start and result are checked once each; an inadmissible result
-    raises FeasibilityError.  rep.iterations counts the steps of both
-    descents, and rep.kkt_residual is the result's.
-    """
+    from the start instead; the unperturbed candidate is a KKT point
+    there.  Both are `_descend`, whose projection clamps the moduli and
+    re-pins the boundary rows, and whose KKT residual stops it at a
+    stationary quiet step.  Start and result are checked once each; an
+    inadmissible result raises FeasibilityError.  rep.iterations counts
+    the steps of both descents, and rep.kkt_residual is the result's."""
     candidate = init is None and radial_solution is None
     if candidate:
         init = PolarGridMap(np.empty((ns, ntheta), dtype=complex), pair, mode)
@@ -588,4 +587,4 @@ def minimize_polar(w: Weight, pair: rd.AnnulusPair, ns=256, ntheta=256,
     residual = _kkt_residual(h, form.grad(h), out)
     diffs = cell_diffs(h, form.dt, form.dtheta)
     return out, EnergyReport(form._energy(*diffs), iterations, converged,
-                             _negative_share(*diffs), residual)
+                             _negative_share(out, *diffs), residual)

@@ -85,7 +85,7 @@ class Weight:
 
     def __call__(self, s):
         s_arr = np.asarray(s, dtype=float)
-        eps = 1e-12 * (self.R - self.r)
+        eps = 1e-12 * (self.R - self.r) + 4 * np.spacing(self.R)  # and s's rounding
         if np.any(s_arr < self.r - eps) or np.any(s_arr > self.R + eps):
             raise WeightError(
                 f"evaluation outside [{self.r}, {self.R}]: s={s}")

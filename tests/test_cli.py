@@ -351,6 +351,8 @@ class TestDirectCommand:
         assert d["polar_iterations"] == 2
         assert d["polar_kkt_residual"] <= 1e-11
         assert d["polar_minimized"] >= d["closed_form"] * (1 - 5e-3)
+        # the contact band's Jacobian density is 0 up to rounding
+        assert d["negative_jacobian_fraction"] == 0.0
 
     def test_fixed_outer_mode_flag(self, tmp_path):
         p = write_config(tmp_path, BASE)

@@ -456,8 +456,7 @@ class TestPerturbation:
             with pytest.raises(dc.AdmissibilityError, match=outside):
                 dc.perturb_map(m, amplitude, 0)
         with pytest.raises(dc.AdmissibilityError, match=outside):
-            dc.minimize_polar(w, pair, ns=32, ntheta=32, radial_solution=sol,
-                              perturbation=1e-12, seed=0)
+            dc.minimize_polar(w, pair, init=m, perturbation=1e-12, seed=0)
 
     def test_seed_determinism(self):
         m = identity_map()
@@ -639,6 +638,23 @@ class TestMinimizePolar:
         assert rep.kkt_residual <= dc.KKT_TOL
         E = oracle_minimum(w, m)
         assert abs(rep.total - E) <= 1e-12 * E
+        # the flat contact band's Jacobian density is 0 up to rounding
+        assert rep.negative_jacobian_fraction == 0.0
+
+    def test_negative_share_counts_beyond_rounding(self):
+        # the collapse config's candidate (s weight, A(1, 2) -> A*(1, 1.05),
+        # 96 x 96): its contact band reads a density of about -3e-14, which
+        # a plain sign test counted on 24% of the cells
+        w, pair = WEIGHTS["s"], rd.AnnulusPair(1.0, 2.0, 1.0, 1.05)
+        m, rep = dc.minimize_polar(w, pair, ns=96, ntheta=96)
+        Dt, Dth = dc.cell_diffs(m.h, m.dt, m.dtheta)
+        assert -1e-13 < np.imag(np.conj(Dt) * Dth).min() < 0
+        assert rep.negative_jacobian_fraction == 0.0
+        # a reflection reverses the orientation of every cell
+        m0 = identity_map(32, 32)
+        mirror = dc.PolarGridMap(np.conj(m0.h), m0.pair)
+        assert dc._negative_share(mirror, *dc.cell_diffs(
+            mirror.h, mirror.dt, mirror.dtheta)) == 1.0
 
     # on case-1 pairs the boundary stage reads only the start's boundary
     # rows, which the candidate and the embedded solution share bit for bit
@@ -654,7 +670,7 @@ class TestMinimizePolar:
                   perturbation=perturbation)
         m, rep = dc.minimize_polar(w, pair, **kw)
         m_sol, rep_sol = dc.minimize_polar(
-            w, pair, radial_solution=rd.build(w, pair), **kw)
+            w, pair, init=dc.embed_radial(rd.build(w, pair), 32, 32, mode), **kw)
         assert m.h.tobytes() == m_sol.h.tobytes()
         assert rep.total == rep_sol.total
         assert rep.iterations == rep_sol.iterations
@@ -686,9 +702,8 @@ class TestMinimizePolar:
         # (about 680 steps) and stops at the cap
         with pytest.warns(RuntimeWarning, match="iteration cap"):
             _, rep = dc.minimize_polar(
-                unit(), collapse_solution.pair, ns=32, ntheta=32, seed=1,
-                perturbation=0.05, max_iter=150,
-                radial_solution=collapse_solution)
+                unit(), collapse_solution.pair, seed=1, perturbation=0.05,
+                max_iter=150, init=dc.embed_radial(collapse_solution, 32, 32))
         assert rep.iterations == 1 + 150
         assert not rep.converged
 
@@ -792,15 +807,15 @@ class TestMinimizePolar:
         with pytest.raises(ValueError, match="start map is on"):
             dc.minimize_polar(unit(), pair, init=identity_map(32, 32))
         with pytest.raises(ValueError, match="start map is on"):
-            dc.minimize_polar(unit(), pair, ns=32, ntheta=32,
-                              radial_solution=collapse_solution)
+            dc.minimize_polar(unit(), pair,
+                              init=dc.embed_radial(collapse_solution, 32, 32))
 
     @pytest.mark.parametrize("ns, ntheta", [(2, 32), (32, 2)])
     def test_grid_too_small_raises(self, conformal_solution, ns, ntheta):
+        # the default start, built on the descent's own grid
         with pytest.raises(ValueError, match=f"got {ns} x {ntheta}"):
             dc.minimize_polar(unit(), conformal_solution.pair, ns=ns,
-                              ntheta=ntheta,
-                              radial_solution=conformal_solution)
+                              ntheta=ntheta)
 
 
 @pytest.mark.parametrize("n", [1, 2])

@@ -109,6 +109,17 @@ def test_construction_rejects_non_positive_weights(make, message):
         make()
 
 
+def test_one_ulp_interval_takes_its_own_log_grid():
+    # exp(log s) rounds a node of [3 - 1 ulp, 3] to 1 ulp above R; an
+    # out-of-interval tolerance of 1e-12 (R - r) alone rejected it
+    w = Weight.tabulated([2.9999999999999996, 3.0], [1.0, 1.0])
+    s = np.exp(np.linspace(np.log(w.r), np.log(w.R), 4096))
+    assert s.max() > w.R
+    np.testing.assert_array_equal(w(s), 1.0)
+    with pytest.raises(WeightError, match="evaluation outside"):
+        w(3.0 + 1e-14)
+
+
 def test_sample_dropped_by_the_cut_is_accepted():
     # the negative sample at s = 1 lies outside [2, 4]
     w = Weight.tabulated([1.0, 2.0, 3.0, 4.0], [-1.0, 1.0, 1.0, 2.0],
