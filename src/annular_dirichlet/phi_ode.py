@@ -11,8 +11,8 @@ Phi = lambda H_t / H.  One fundamental matrix of the linear system per
 grid therefore answers every initial value phi0 (y(r) = (1, phi0)); its
 RK4 recurrence is one LAPACK band forward substitution.  A solve returns
 the clamped function Phi = max(0, Phi_tilde) and its collapse radius r0,
-up to which Phi = 0; Phi drives the radial profile through
-H'/H = Phi/(s lambda), i.e. H(s) = r_star * exp(int Phi/lambda dt).
+up to which Phi = 0.  The radial profile is the same path: flat at r_star
+up to r0, where H is least, and r_star H/min H from there.
 """
 
 from __future__ import annotations
@@ -201,30 +201,6 @@ def fd_derivative(y, h):
     return d
 
 
-def cumulative_integral(f, h):
-    """Cumulative integral on a uniform grid, 4th order.
-
-    Interior steps use the cubic through the four surrounding nodes; the
-    first and last steps use one-sided cubics.  Steps whose own endpoints
-    both vanish contribute exactly zero, so an identically-zero stretch of
-    the integrand accumulates nothing (needed for the collapse plateau).
-    """
-    f = np.asarray(f, dtype=float)
-    n = len(f) - 1
-    inc = np.empty(n)
-    if n >= 3:
-        inc[1:-1] = (h / 24.0) * (-f[:-3] + 13 * f[1:-2] + 13 * f[2:-1] - f[3:])
-        inc[0] = (h / 24.0) * (9 * f[0] + 19 * f[1] - 5 * f[2] + f[3])
-        inc[-1] = (h / 24.0) * (9 * f[-1] + 19 * f[-2] - 5 * f[-3] + f[-4])
-    else:
-        inc[:] = 0.5 * h * (f[:-1] + f[1:])
-    inc[(f[:-1] == 0.0) & (f[1:] == 0.0)] = 0.0
-    out = np.empty(n + 1)
-    out[0] = 0.0
-    np.cumsum(inc, out=out[1:])
-    return out
-
-
 def _kink(g: OdeGrid, H, q, y, k):
     """(t0, H(t0)) at the kink of the clamped path, in the cell
     [t_{k-1}, t_k] where phi_tilde = q/H turns nonnegative: t0 is the root
@@ -261,11 +237,16 @@ def _hermite(v0, v1, d0, d1):
 
 
 def recover_H(p: PhiSolution, w: Weight, r_star):
-    """Radial profile H(s) = r_star * exp(int_r^s Phi/(t lambda) dt), with
-    lambda the weight of p's grid (w is unused)."""
+    """Radial profile of p's clamped path, from the columns of its grid (w
+    is unused): H = r_star up to the kink and r_star H/min H from there, with
+    (H, q) = `integrate(phi0)` and min H at the kink (H(r) = 1 in case 1);
+    Hdot = dH/ds = r_star q/(lambda s min H), 0 on the plateau."""
     if r_star <= 0:
         raise ValueError(f"r_star must be positive, got {r_star}")
-    h = p.t[1] - p.t[0]
-    H = r_star * np.exp(cumulative_integral(p.phi / p.grid.lam, h))
-    Hdot = H * p.phi / (p.s * p.grid.lam)
+    g = p.grid
+    H, q, y = g.integrate(p.phi0)
+    k = int(np.searchsorted(y >= 0, True))   # 0 unless phi0 < 0
+    scale = r_star / (_kink(g, H, q, y, k)[1] if 0 < k < len(y) else 1.0)
+    H, Hdot = scale * H, scale * q / (g.lam * g.s)
+    H[:k], Hdot[:k] = r_star, 0.0
     return RadialProfile(H, Hdot)

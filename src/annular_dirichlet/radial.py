@@ -2,8 +2,8 @@
 
 Builds the radial minimizer for an annulus pair from its initial value
 phi0 (one division in the homeomorphism case; in the collapsing case
-safeguarded Newton on the clamped modulus, whose value and slope are dot
-products with Simpson's weights over lambda), computes the homeomorphism
+safeguarded Newton on the clamped modulus ln H(R) - ln min H, read from
+the grid's fundamental matrix like the profile), computes the homeomorphism
 threshold m = h0(R) and the thin-target threshold g, the closed-form
 minimal energies, and the numerical certificates behind the
 monotone-weight and fixed-boundary minimality proofs.
@@ -11,17 +11,16 @@ monotone-weight and fixed-boundary minimality proofs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .phi_ode import (DEFAULT_N, FD_STENCIL, AccuracyError, OdeGrid,
-                      PhiSolution, RadialProfile, _kink, _simpson,
+                      PhiSolution, RadialProfile, _hermite, _kink, _simpson,
                       fd_derivative, recover_H)
 from .weights import Weight
 
-MODULUS_TOL = 1e-10
-PHI0_INTERVAL_TOL = 1e-12
 RATIO_RTOL = 1e-12         # interval ratios this close are the same ratio
 CERTIFICATE_TOL = 1e-8     # margins this far below zero fail
 
@@ -94,36 +93,51 @@ def find_initial_value(grid: OdeGrid, pair: AnnulusPair):
 
     Case 1 (phi0 >= 0): the path never clamps and its H (`grid.integrate`)
     ends at R*/r*, so phi0 = (R*/r* - h0(R)) / h1(R).  Case 2: safeguarded
-    Newton on the clamped modulus m(phi0), nondecreasing in phi0, in the
-    bracket [-max lambda, 0] (a path from -max lambda stays below it, with
-    modulus 0), from the case-1 value; a step that leaves the bracket
-    bisects it.  dphi_tilde/dphi0 = (h0 q1 - h1 q0)/H^2, so dm/dphi0 is the
-    modulus of that where phi_tilde > 0; each is one dot product.
+    Newton on v = sqrt(2 modulus) ~ T - t_min, with the clamped path's
+    modulus ln H(T) - ln min H, min H at its kink (`_kink`).  By the
+    envelope rule dv/dphi0 = (h1(T)/H(T) - h1(t_min)/min H)/v, h1(t_min)
+    from the cubic Hermite on the kink's cell.  The bracket's ends need no
+    path: from -q0/q1 (at T) the kink is at T, so v = 0 with slope
+    q1^2/(W lambda), W = h0 q1 - h1 q0; from 0 it is at r, so v =
+    sqrt(2 ln h0) with slope h1/(h0 v).  Each step is Newton's from the
+    last path, else from the bracket's other end, else bisection.
     """
     h0, h1, q0, q1 = grid.columns
     phi0 = (pair.R_star / pair.r_star - h0[-1]) / h1[-1]
     if phi0 >= 0:
         return float(phi0)
-    target = pair.mod_target
-    wronskian = h0 * q1 - h1 * q0
-    rule = np.r_[1.0, np.tile([4.0, 2.0], grid.n // 2)[:-1], 1.0]
-    simpson = rule * (grid.h / 3.0) / grid.lam  # Simpson's weights over lambda
-    lo, hi = -grid.lam_max, 0.0
-    while hi - lo > PHI0_INTERVAL_TOL * max(1.0, grid.lam_max):
-        if not lo < phi0 < hi:
-            phi0 = 0.5 * (lo + hi)
-        H, _, y = grid.integrate(phi0)
-        # phi_tilde > 0 on a suffix of the nodes: the RK4 step matrix has
-        # positive entries, so H, q > 0 at a node stay so at the next
-        k = len(y) - np.count_nonzero(y > 0)
-        weights, H = simpson[k:], H[k:]
-        m = float(np.dot(weights, y[k:]))
-        if abs(m - target) <= MODULUS_TOL:
-            return float(phi0)
-        lo, hi = (phi0, hi) if m < target else (lo, phi0)
-        dm = float(np.dot(weights, wronskian[k:] / (H * H)))
-        phi0 = phi0 - (m - target) / dm if dm > 0 else hi
-    return float(0.5 * (lo + hi))
+    target = math.sqrt(2.0 * pair.mod_target)
+    h0T, h1T, q0T, q1T, lT = (float(a[-1]) for a in (h0, h1, q0, q1, grid.lam))
+    v0 = math.sqrt(2.0 * math.log(h0T))
+    lo = (-q0T / q1T, 0.0, q1T * q1T / ((h0T * q1T - h1T * q0T) * lT))
+    last = hi = (0.0, v0, h1T / (h0T * v0))    # (phi0, v, dv/dphi0)
+    for _ in range(100):
+        for p0, v, dv in (last, lo if last is hi else hi):
+            phi0 = p0 + (target - v) / dv if dv > 0.0 else math.nan
+            if lo[0] < phi0 < hi[0]:
+                break
+        else:
+            phi0 = 0.5 * (lo[0] + hi[0])
+        H, q, y = grid.integrate(phi0)
+        v = dv = 0.0    # no kink before T: the lower end, to rounding
+        if y[-1] >= 0:
+            k = int(np.searchsorted(y >= 0, True))
+            t0, H_min = _kink(grid, H, q, y, k)
+            (ta, _), (a, b), (qa, qb), (la, lb) = (
+                x[k - 1:k + 1].tolist() for x in (grid.t, h1, q1, grid.lam))
+            h, HT = grid.h, float(H[-1])
+            c3, c2, c1, c0 = _hermite(a, b, h * qa / la, h * qb / lb)
+            u = (t0 - ta) / h
+            dmod = h1T / HT - (((c3 * u + c2) * u + c1) * u + c0) / H_min
+            v = math.sqrt(2.0 * max(0.0, math.log(HT / H_min)))
+            dv = dmod / v if v > 0.0 else 0.0
+        step = (target - v) / dv if dv > 0.0 else math.nan
+        # Newton's error after a step is of the step's square
+        if abs(step) <= 1e-10 * max(1.0, grid.lam_max):
+            return float(phi0 + step if lo[0] < phi0 + step < hi[0] else phi0)
+        last = (phi0, v, dv)
+        lo, hi = (last, hi) if v < target else (lo, last)
+    return float(phi0)
 
 
 def build(w: Weight, pair: AnnulusPair, n=DEFAULT_N):
@@ -131,15 +145,9 @@ def build(w: Weight, pair: AnnulusPair, n=DEFAULT_N):
     grid = OdeGrid(w, pair.r, pair.R, n)
     phi0 = find_initial_value(grid, pair)
     p = grid.solve(phi0)
-    profile = recover_H(p, w, pair.r_star)
-    # pin the outer target radius exactly; the modulus already matches to tol
-    factor = pair.R_star / profile.H[-1]
-    profile.H *= factor
-    profile.Hdot *= factor
-    profile.H[-1] = pair.R_star   # the product can land one ulp off
     case = CASE1 if phi0 >= 0 else CASE2
-    sol = RadialSolution(pair=pair, phi=p, profile=profile, case_tag=case,
-                         energy=0.0)
+    sol = RadialSolution(pair=pair, phi=p, profile=recover_H(p, w, pair.r_star),
+                         case_tag=case, energy=0.0)
     sol.energy = energy_closed_form(sol)
     return sol
 

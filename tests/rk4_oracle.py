@@ -5,8 +5,9 @@ bisection for the zero of phi_tilde inside one grid cell, the kink of the
 clamped path from the companion-matrix roots of its cell cubic, the least
 value of a cubic Hermite interpolant on one cell, the thin-target
 threshold g by bracketing and bisection on the initial value, Simpson's
-rule for the modulus, and the collapsing-case initial value by bisection
-of the clamped modulus.
+rule for the modulus, the clamped path's modulus ln H(T) - ln min H on
+the fundamental matrix, and the collapsing-case initial value by bisection
+of that modulus.
 
 The package integrates the linearised equation instead; the two are
 different discretisations of the same ODE, so they agree to the RK4
@@ -150,29 +151,33 @@ def bisect_threshold_g(grid):
 
 
 def modulus(grid, phi):
-    """Simpson's rule for the modulus int Phi/lambda dt on the grid's nodes
-    (the root function of the collapsing-case initial value)."""
+    """Simpson's rule for the modulus int Phi/lambda dt on the grid's nodes."""
     return float(simpson(phi / grid.lam, dx=grid.h))
 
 
-def clamped_modulus(grid, phi0):
-    """Modulus of the clamped path max(0, phi_tilde) from phi0."""
-    return modulus(grid, np.maximum(0.0, grid.integrate(phi0)[2]))
+def collapse_modulus(grid, phi0):
+    """Modulus ln H(T) - ln min H of the clamped path from phi0 on the
+    grid's fundamental matrix: min H is H(r) = 1 when phi_tilde(r) >= 0,
+    H's kink value (`companion_kink`) when phi_tilde turns nonnegative
+    inside [r, R], and H(T) when it never does (modulus 0)."""
+    H, q, y = grid.integrate(phi0)
+    if y[-1] < 0:
+        return 0.0
+    k = int(np.searchsorted(y >= 0, True))
+    low = companion_kink(grid, H, q, y, k)[1] if k > 0 else 1.0
+    return float(np.log(H[-1]) - np.log(low))
 
 
 def bisect_initial_value(grid, target):
     """Collapsing-case phi0 < 0 whose clamped path has the modulus
-    `target`: bisection of that modulus, nondecreasing in phi0, on
-    [-max lambda, 0] until it is within 1e-10 of the target or the interval
-    is 1e-12 max(1, max lambda) long."""
+    `target` (`collapse_modulus`, nondecreasing in phi0): bisection on
+    [-max lambda, 0] until no double lies between the ends."""
     lo, hi = -grid.lam_max, 0.0
-    while hi - lo > 1e-12 * max(1.0, grid.lam_max):
+    while True:
         mid = 0.5 * (lo + hi)
-        m = clamped_modulus(grid, mid)
-        if abs(m - target) <= 1e-10:
+        if not lo < mid < hi:
             return mid
-        if m < target:
+        if collapse_modulus(grid, mid) < target:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)

@@ -94,12 +94,13 @@ class TestPolarGridMap:
         rev = dc.PolarGridMap(np.conj(m.h), m.pair)
         assert dc.winding_number(rev, 3) == -1
 
-    @pytest.mark.xfail(strict=True, raises=dc.AdmissibilityError,
-                       reason="collapse defect: build's rescale by R*/H(R) "
-                       "puts the plateau 1.5e-9 below r* (ROADMAP item 2)")
     def test_collapse_embedding_is_admissible(self):
+        # the plateau is r* exactly, and H ends at R* to rounding
         sol = rd.build(Weight.power(1.0, 1.0, 2.0),
                        rd.AnnulusPair(1.0, 2.0, 1.0, 1.05))
+        H = sol.profile.H
+        assert np.all(H[sol.phi.s < sol.r0] == 1.0)
+        assert H[-1] == pytest.approx(1.05, rel=1e-15, abs=0)
         dc.embed_radial(sol, 96, 96).check()
 
     def test_degenerate_row_raises(self):
@@ -443,12 +444,14 @@ class TestPerturbation:
             dc.perturb_map(dc.embed_radial(sol, 32, 32), 10.0, 7)
 
     def test_inadmissible_start_is_not_repaired(self):
-        # the s-weight collapse embedding sits 1.48e-9 below r* (ROADMAP
-        # item 2); clipping the perturbed moduli into [r*, R*] would lift
-        # it, and the descent would run from a start that fails check()
+        # an admissible collapse embedding with one interior row lowered
+        # 1.5e-9 below r*, beyond ADMISSIBLE_TOL; clipping the perturbed
+        # moduli into [r*, R*] would lift it, and the descent would run
+        # from a start that fails check()
         w, pair = WEIGHTS["s"], rd.AnnulusPair(1.0, 2.0, 1.0, 1.05)
-        sol = rd.build(w, pair, n=4096)
-        m = dc.embed_radial(sol, 32, 32)
+        m = dc.embed_radial(rd.build(w, pair, n=4096), 32, 32)
+        m.check()
+        m.h[5] *= (pair.r_star - 1.5e-9) / np.abs(m.h[5])
         outside = r"^\|h\| outside \[r_star, R_star\]$"
         with pytest.raises(dc.AdmissibilityError, match=outside):
             m.check()

@@ -12,7 +12,7 @@ from annular_dirichlet.weights import Weight
 
 import power_oracle
 from rk4_oracle import (bisect_initial_value, bisect_threshold_g,
-                        clamped_modulus, modulus)
+                        collapse_modulus)
 
 
 def unit(r=1.0, R=2.0):
@@ -40,15 +40,17 @@ class TestAnnulusPair:
 
 class TestFindInitialValue:
     def test_hits_target_modulus(self):
+        # the modulus of the grid's own columns, ln H(T) - ln min H:
+        # measured within 7e-18 (case 1 at 1.25, just above the grid's m,
+        # and at 2.0; case 2 at 1.02)
         w = unit()
         grid = OdeGrid(w, 1.0, 2.0)
         for pair in (rd.AnnulusPair(1, 2, 1, 1.25),
                      rd.AnnulusPair(1, 2, 1, 2.0),
                      rd.AnnulusPair(1, 2, 1, 1.02)):
             phi0 = rd.find_initial_value(grid, pair)
-            phi = np.maximum(0.0, grid.integrate(phi0)[2])
-            mod = modulus(grid, phi)
-            assert abs(mod - pair.mod_target) <= rd.MODULUS_TOL
+            mod = collapse_modulus(grid, phi0)
+            assert abs(mod - pair.mod_target) <= 1e-15
 
     def test_sign_encodes_case(self):
         grid = OdeGrid(unit(), 1.0, 2.0)
@@ -106,6 +108,10 @@ class CountingGrid(OdeGrid):
 @example(p=3.0, c=0.1, rho=4.42186416308189, f=1.6231336387022867e-06)
 @example(p=1.0, c=1.0, rho=1.01, f=1e-6)
 @example(p=0.0, c=10.0, rho=5.0, f=0.3096606768944577)
+@example(p=2.799220166540043, c=7.024508903943962, rho=4.608464068217278,
+         f=6.309589336000607e-05)
+@example(p=-2.937574367638944, c=6.258027352167978, rho=4.888439610554008,
+         f=3.724811308023128e-05)
 def test_case2_initial_value_meets_the_modulus_contract(p, c, rho, f):
     # ratio = 1 + f (m - 1) with m = h0(R), the grid's own threshold, so
     # the pair is in case 2 however close f is to 1
@@ -114,21 +120,20 @@ def test_case2_initial_value_meets_the_modulus_contract(p, c, rho, f):
     ratio = 1.0 + f * (grid.columns[0][-1] - 1.0)
     pair = rd.AnnulusPair(1.0, rho, 1.0, ratio)
     phi0 = rd.find_initial_value(grid, pair)
-    # the worst of 13000 draws (random, corners and small f) took 15
-    # paths (first example); the bisection took up to 38
+    # the worst of 3400 draws (random, small f and f near 1) took 7 paths
     assert grid.calls <= 16
     assert phi0 < 0
-    assert abs(clamped_modulus(grid, phi0) - pair.mod_target) <= rd.MODULUS_TOL
-    # both roots meet the contract, so they differ by about 2 MODULUS_TOL
-    # over the slope of the modulus, taken at the lower one: that is 0 on
-    # the flat part below the kink, where a target under MODULUS_TOL does
-    # not pin phi0 (second example: the bisection stops at -lambda_max/2).
-    # The worst of 3000 draws was 1.93 MODULUS_TOL (third example)
+    # the root meets the columns' modulus to rounding: the worst of those
+    # draws was 4.1e-15 off (fourth example)
+    assert abs(collapse_modulus(grid, phi0) - pair.mod_target) <= 1e-14
+    # and it is the bisection's root of the same modulus, within rounding
+    # of the modulus over its slope, taken at the lower one (0 on the flat
+    # part at the kink's exit at R): at worst 3.0e-15 (fifth example)
     ref = bisect_initial_value(grid, pair.mod_target)
     low, step = min(phi0, ref), 1e-7 * c
-    slope = (clamped_modulus(grid, low + step)
-             - clamped_modulus(grid, low - step)) / (2 * step)
-    assert abs(phi0 - ref) * slope <= 2 * rd.MODULUS_TOL
+    slope = (collapse_modulus(grid, low + step)
+             - collapse_modulus(grid, low - step)) / (2 * step)
+    assert abs(phi0 - ref) * slope <= 1e-14
 
 
 @pytest.mark.parametrize("w", [
@@ -139,7 +144,7 @@ def test_case2_initial_value_meets_the_modulus_contract(p, c, rho, f):
     ids=["1", "s", "1/s", "s^-4", "s^3", "2+sin4s"])
 @pytest.mark.parametrize("f", [1e-6, 0.5])
 def test_case2_build_raises_no_warning(w, f):
-    # the Newton slope divides by H^2 on the nodes where phi_tilde > 0
+    # the Newton slope divides by v and by min H
     m = OdeGrid(w, 1.0, 3.0).columns[0][-1]
     pair = rd.AnnulusPair(1.0, 3.0, 1.0, 1.0 + f * (m - 1.0))
     with warnings.catch_warnings():
@@ -147,8 +152,40 @@ def test_case2_build_raises_no_warning(w, f):
         sol = rd.build(w, pair)
     assert sol.case_tag == rd.CASE2
     grid = sol.phi.grid
-    assert abs(clamped_modulus(grid, sol.phi0) - pair.mod_target) \
-        <= rd.MODULUS_TOL
+    assert abs(collapse_modulus(grid, sol.phi0) - pair.mod_target) <= 1e-14
+
+
+@pytest.mark.parametrize("w", [
+    Weight.power(-4.0, 1.0, 5.0),
+    Weight.from_callable(lambda s: 2.0 + np.sin(4 * s), 1.0, 5.0,
+                         samples=8193)], ids=["s^-4", "2+sin4s"])
+def test_case2_root_on_a_coarse_grid_just_below_m(w):
+    # the case split and the modulus come from the same columns, so a ratio
+    # 1e-9 (m - 1) below m on a 256-interval grid still meets the modulus:
+    # measured exactly, in one path (a Simpson-rule modulus beside the
+    # columns' split missed it by 9.8e-10 and 6.2e-10 here)
+    grid = CountingGrid(w, 1.0, 5.0, 256)
+    m = grid.columns[0][-1]
+    pair = rd.AnnulusPair(1.0, 5.0, 1.0, m - 1e-9 * (m - 1.0))
+    phi0 = rd.find_initial_value(grid, pair)
+    assert grid.calls == 1
+    assert phi0 < 0
+    assert abs(collapse_modulus(grid, phi0) - pair.mod_target) <= 1e-15
+
+
+@pytest.mark.parametrize("p", [2.0, 2.5, 3.0])
+@pytest.mark.parametrize("R", [4.4, 4.6, 4.8, 5.0])
+def test_case2_thin_target_takes_few_paths(p, R):
+    # a thin target 1 + 1e-6 (m - 1) puts the kink next to R, so Newton's
+    # first step is taken from the bracket's lower end (kink at R):
+    # measured 2-3 paths (Newton on a Simpson-rule modulus, which is
+    # quadratic in phi0 there, took 6-15)
+    grid = CountingGrid(Weight.power(p, 1.0, R), 1.0, R)
+    m = grid.columns[0][-1]
+    pair = rd.AnnulusPair(1.0, R, 1.0, 1.0 + 1e-6 * (m - 1.0))
+    phi0 = rd.find_initial_value(grid, pair)
+    assert grid.calls <= 3
+    assert abs(collapse_modulus(grid, phi0) - pair.mod_target) <= 1e-14
 
 
 CASE2_GRID = [(p, rho, f) for p in (0.0, 1.0, -1.0, 2.0, -2.0)
@@ -176,18 +213,15 @@ def test_collapse_oracle_unit_weight_closed_form(R_star):
 
 @pytest.mark.parametrize("p, rho, f", CASE2_GRID)
 def test_case2_build_matches_power_closed_form(p, rho, f):
-    # measured: r0 off by at most 4.1e-7 (p=-2, rho=5, f=1e-3), median
-    # 8.1e-9; phi0 by at most 6.2e-8 (p=1, rho=2, f=1e-3).  The modulus
-    # root stops at MODULUS_TOL, which leaves phi0 and so r0 that far off
+    # measured: r0 off by at most 1.7e-12 (p=1, rho=5, f=1e-3) and phi0 by
+    # at most 1.1e-12 (p=2, rho=2, f=1e-3), the RK4 grid's own error: the
+    # root meets the columns' modulus to rounding
     case, r0_err, phi0_err = case2_errors(p, rho, f)
     assert case == rd.CASE2
-    assert r0_err <= 1e-6
-    assert phi0_err <= 1e-7
+    assert r0_err <= 5e-12
+    assert phi0_err <= 3e-12
 
 
-@pytest.mark.xfail(strict=True, reason="the collapse radius target of "
-                   "ROADMAP item 2 (one Newton root on the fundamental "
-                   "matrix); today's worst error is 4.1e-7")
 def test_case2_collapse_radius_within_1e_10():
     assert max(case2_errors(*case)[1] for case in CASE2_GRID) <= 1e-10
 
