@@ -10,9 +10,10 @@ with y = (H, lambda dH/dt), y' = [[0, 1/lambda], [lambda, 0]] y and
 Phi = lambda H_t / H.  One fundamental matrix of the linear system per
 grid therefore answers every initial value phi0 (y(r) = (1, phi0)); its
 RK4 recurrence is one LAPACK band forward substitution.  A solve returns
-the clamped function Phi = max(0, Phi_tilde) and its collapse radius r0,
-up to which Phi = 0.  The radial profile is the same path: flat at r_star
-up to r0, where H is least, and r_star H/min H from there.
+the clamped function Phi = max(0, Phi_tilde), its collapse radius r0, up
+to which Phi = 0, and the pair it checked.  The radial profile is that
+pair: flat at r_star up to r0, where H is least, and r_star H/min H from
+there.
 """
 
 from __future__ import annotations
@@ -38,6 +39,8 @@ class AccuracyError(RuntimeError):
 @dataclass
 class PhiSolution:
     grid: OdeGrid            # the grid the path lives on
+    H: np.ndarray            # the checked linear pair (H, lambda H_t) from
+    q: np.ndarray            # y(r) = (1, phi0), of which phi_tilde = q/H
     phi_tilde: np.ndarray
     phi: np.ndarray          # max(0, phi_tilde)
     phi0: float
@@ -65,7 +68,8 @@ class OdeGrid:
     Reusable across solves with different initial values: the RK4
     fundamental matrix of the linearised equation is built on first use,
     by one band forward substitution, and turns the pair of every later
-    `integrate` into two O(n) array operations.
+    `integrate` into two O(n) array operations.  The n intervals are used
+    as given, odd or even.
     """
 
     def __init__(self, w: Weight, r, R, n=DEFAULT_N):
@@ -73,8 +77,6 @@ class OdeGrid:
             raise ValueError(f"need 0 < r < R, got {r}, {R}")
         if n < 16:
             raise ValueError(f"grid size too small: {n}")
-        if n % 2:
-            n += 1  # Simpson quadrature needs an even interval count
         self.w = w
         self.n = n
         # nodes: every other point of the half-step grid (half the node step),
@@ -111,9 +113,9 @@ class OdeGrid:
         return H, q, y
 
     def solve(self, phi0):
-        """The characteristic ODE from phi0 on this grid: phi_tilde, phi =
-        max(0, phi_tilde) and the collapse radius r0 (r when phi0 >= 0, R
-        when phi_tilde stays negative); AccuracyError on a failed check."""
+        """The characteristic ODE from phi0 on this grid: the checked pair
+        (H, q), phi_tilde, phi = max(0, phi_tilde) and the collapse radius
+        r0 (`_kink`); AccuracyError on a failed check."""
         H, q, y = self.integrate(phi0)
         # largest finite-difference defect of (H, q) in H_t = q/lambda and
         # q_t/lambda = H, relative to max(|H|, |H_t|) at each node: the pair
@@ -130,15 +132,9 @@ class OdeGrid:
             raise AccuracyError(
                 f"a priori bound violated: max |phi_tilde| "
                 f"{np.max(np.abs(y)):.6g} above {bound:.6g}")
-        if phi0 >= 0:
-            r0 = self.s[0]
-        elif y[-1] < 0:
-            r0 = self.s[-1]
-        else:
-            k = int(np.searchsorted(y >= 0, True))
-            r0 = np.exp(_kink(self, H, q, y, k)[0])
-        return PhiSolution(grid=self, phi_tilde=y, phi=np.maximum(0.0, y),
-                           phi0=float(phi0), r0=float(r0), residual=residual)
+        return PhiSolution(grid=self, H=H, q=q, phi_tilde=y,
+                           phi=np.maximum(0.0, y), phi0=float(phi0),
+                           r0=_kink(self, H, q, y)[2], residual=residual)
 
 
 def _simpson(y, dx):
@@ -201,12 +197,16 @@ def fd_derivative(y, h):
     return d
 
 
-def _kink(g: OdeGrid, H, q, y, k):
-    """(t0, H(t0)) at the kink of the clamped path, in the cell
-    [t_{k-1}, t_k] where phi_tilde = q/H turns nonnegative: t0 is the root
-    of the cubic Hermite interpolant of phi_tilde (end slopes from the ODE)
-    and H(t0) that of H (end slopes q/lambda), both O(h^4) for a smooth
-    weight.  H is least at t0, where q = 0."""
+def _kink(g: OdeGrid, H, q, y):
+    """(k, t0, r0 = e^t0, min H = H(t0)) of the clamped path, flat on the
+    nodes before k, the first with phi_tilde = q/H >= 0: the end r (H = 1)
+    if k = 0, the end R if phi_tilde < 0 up to R (k = len(y)), else in the
+    cell [t_{k-1}, t_k] the root t0 of the cubic Hermite interpolant of
+    phi_tilde (end slopes from the ODE) and H(t0) from that of H (end slopes
+    q/lambda), both O(h^4) for a smooth weight."""
+    k = int(np.searchsorted(y >= 0, True))
+    if not 0 < k < len(y):      # no kink inside: the end r (k = 0) or R
+        return (k, *(float(a[-1 if k else 0]) for a in (g.t, g.s, H)))
     # Python floats: numpy scalars cost more than the cell's arithmetic
     (t0, t1), (l0, l1), (y0, y1), (H0, H1), (q0, q1) = (
         a[k - 1:k + 1].tolist() for a in (g.t, g.lam, y, H, q))
@@ -227,7 +227,8 @@ def _kink(g: OdeGrid, H, q, y, k):
         if abs(step) <= 2.0 ** -52:     # an ulp of 1, far below h's
             break
     c3, c2, c1, c0 = _hermite(H0, H1, h * q0 / l0, h * q1 / l1)
-    return t0 + u * h, ((c3 * u + c2) * u + c1) * u + c0
+    t0 += u * h
+    return k, t0, float(np.exp(t0)), ((c3 * u + c2) * u + c1) * u + c0
 
 
 def _hermite(v0, v1, d0, d1):
@@ -237,16 +238,15 @@ def _hermite(v0, v1, d0, d1):
 
 
 def recover_H(p: PhiSolution, w: Weight, r_star):
-    """Radial profile of p's clamped path, from the columns of its grid (w
-    is unused): H = r_star up to the kink and r_star H/min H from there, with
-    (H, q) = `integrate(phi0)` and min H at the kink (H(r) = 1 in case 1);
-    Hdot = dH/ds = r_star q/(lambda s min H), 0 on the plateau."""
+    """Radial profile of p's clamped path, from the linear pair (H, q) that
+    its solve checked (w is unused): H = r_star up to the kink and
+    r_star H/min H from there, min H at the kink (`_kink`; H(r) = 1 in
+    case 1); Hdot = dH/ds = r_star q/(lambda s min H), 0 on the plateau."""
     if r_star <= 0:
         raise ValueError(f"r_star must be positive, got {r_star}")
     g = p.grid
-    H, q, y = g.integrate(p.phi0)
-    k = int(np.searchsorted(y >= 0, True))   # 0 unless phi0 < 0
-    scale = r_star / (_kink(g, H, q, y, k)[1] if 0 < k < len(y) else 1.0)
-    H, Hdot = scale * H, scale * q / (g.lam * g.s)
+    k, _, _, H_min = _kink(g, p.H, p.q, p.phi_tilde)
+    scale = r_star / H_min
+    H, Hdot = scale * p.H, scale * p.q / (g.lam * g.s)
     H[:k], Hdot[:k] = r_star, 0.0
     return RadialProfile(H, Hdot)

@@ -119,18 +119,15 @@ def find_initial_value(grid: OdeGrid, pair: AnnulusPair):
         else:
             phi0 = 0.5 * (lo[0] + hi[0])
         H, q, y = grid.integrate(phi0)
-        v = dv = 0.0    # no kink before T: the lower end, to rounding
-        if y[-1] >= 0:
-            k = int(np.searchsorted(y >= 0, True))
-            t0, H_min = _kink(grid, H, q, y, k)
+        k, t0, _, H_min = _kink(grid, H, q, y)
+        HT, h = float(H[-1]), grid.h
+        v = dv = math.sqrt(2.0 * max(0.0, math.log(HT / H_min)))
+        if v > 0.0:     # 0 with no kink before T: the lower end, to rounding
             (ta, _), (a, b), (qa, qb), (la, lb) = (
                 x[k - 1:k + 1].tolist() for x in (grid.t, h1, q1, grid.lam))
-            h, HT = grid.h, float(H[-1])
             c3, c2, c1, c0 = _hermite(a, b, h * qa / la, h * qb / lb)
             u = (t0 - ta) / h
-            dmod = h1T / HT - (((c3 * u + c2) * u + c1) * u + c0) / H_min
-            v = math.sqrt(2.0 * max(0.0, math.log(HT / H_min)))
-            dv = dmod / v if v > 0.0 else 0.0
+            dv = (h1T / HT - (((c3 * u + c2) * u + c1) * u + c0) / H_min) / v
         step = (target - v) / dv if dv > 0.0 else math.nan
         # Newton's error after a step is of the step's square
         if abs(step) <= 1e-10 * max(1.0, grid.lam_max):
@@ -206,9 +203,10 @@ def _threshold_g(g: OdeGrid):
     single minimum, where the clamped path has its kink (`_kink`).  From
     there to a node j >= k, k the first node with phi_tilde >= 0, the
     modulus is ln(H_j / min H); from node j on, Simpson's rule integrates
-    a smooth phi_tilde/lambda on an odd node count.  (A ratio of H over
-    the whole interval would carry the accumulated rounding of the
-    fundamental matrix, which phi_tilde = q/H cancels.)
+    a smooth phi_tilde/lambda on an odd count of at least three nodes, or
+    AccuracyError.  (A ratio of H over the whole interval would carry the
+    accumulated rounding of the fundamental matrix, which phi_tilde = q/H
+    cancels.)
     """
     h0, h1, q0, q1 = g.columns
     a, b = q0 - g.lam * h0, q1 - g.lam * h1
@@ -220,11 +218,12 @@ def _threshold_g(g: OdeGrid):
             f"threshold_g: the extreme path H = h0 + phi_g h1 reaches "
             f"{np.min(H):.3g} <= 0, cancelled in columns up to "
             f"{np.max(np.abs(h1)):.3g}")
-    k = int(np.searchsorted(y >= 0, True))
+    k, _, _, H_min = _kink(g, H, q, y)
     j = k + (len(y) - k + 1) % 2    # k + 1 if the count from k is even
-    # H_j / min H; H(r) = 1 is least if k = 0
-    ratio = H[j] / _kink(g, H, q, y, k)[1] if k > 0 else 1.0
-    return float(ratio * np.exp(_simpson(y[j:] / g.lam[j:], g.h)))
+    if len(y) - j < 3:
+        raise AccuracyError(f"threshold_g: the extreme path turns nonnegative"
+                            f" within two cells of R, or not at all (k = {k})")
+    return float(H[j] / H_min * np.exp(_simpson(y[j:] / g.lam[j:], g.h)))
 
 
 def energy_closed_form(sol: RadialSolution):

@@ -203,16 +203,18 @@ class TestSolveCommand:
         assert float(first.split(",")[0]) == 1.0
 
     def test_odd_ode_grid(self, tmp_path):
-        # an odd node count is rounded up to an even interval count
+        # an odd interval count is used as given: 1001 intervals, 1002 nodes
         cfg = dict(BASE, numerics=dict(BASE["numerics"], ode_grid=1001))
         p = write_config(tmp_path, cfg)
         rc = cli.main(["solve", "--config", str(p), "--out", str(tmp_path)])
         assert rc == 0
+        lines = (tmp_path / "solution.csv").read_text().splitlines()
+        assert len([ln for ln in lines if not ln.startswith("#")]) == 1 + 1002
         summary = json.loads((tmp_path / "solution.json").read_text())
         # case-1 energy is 2 pi (R*^2 Phi(R) - r*^2 Phi(r)) from the path's
         # end values, so it follows the fundamental matrix to the bit; it
-        # lies 1.3e-14 from 15 pi / 8
-        assert summary["energy"] == 5.890486225480849
+        # lies 8.0e-15 below 15 pi / 8
+        assert summary["energy"] == 5.890486225480854
         assert abs(summary["energy"] - 15 * np.pi / 8) <= 2.4e-14
         assert summary["energy"] == pytest.approx(15 * np.pi / 8, rel=1e-6)
 

@@ -114,6 +114,11 @@ class TestOdeGrid:
         with pytest.raises(ValueError, match=message):
             po.OdeGrid(Weight.constant(1.0, 1.0, 2.0), r, R, n)
 
+    def test_odd_interval_count_used_as_given(self):
+        grid = po.OdeGrid(Weight.constant(1.0, 1.0, 2.0), 1, 2, 1001)
+        assert grid.n == 1001
+        assert len(grid.t) == len(grid.columns[0]) == 1002
+
     def test_nodes_are_the_linspace_and_its_exp(self):
         # t and s are every other point of the half-step grid; they must be
         # linspace(ln r, ln R, n + 1) and its exp, ends pinned, bit for bit
@@ -203,8 +208,9 @@ class TestAgainstNonlinearRk4:
         h0, h1, q0, q1 = grid.columns
         H, q = h0 + phi0 * h1, q0 + phi0 * q1
         y = grid.integrate(phi0)[2]
-        k = int(np.searchsorted(y >= 0, True))
-        t0, H_kink = po._kink(grid, H, q, y, k)
+        k, t0, r0, H_kink = po._kink(grid, H, q, y)
+        assert k == int(np.searchsorted(y >= 0, True))
+        assert r0 == np.exp(t0)
         assert grid.t[k - 1] <= t0 <= grid.t[k]
         cell = slice(k - 1, k + 1)
         dH = (grid.t[k] - grid.t[k - 1]) * q[cell] / grid.lam[cell]
@@ -230,9 +236,11 @@ class TestKink:
         return po.OdeGrid(w, w.r, w.R, n)
 
     @staticmethod
-    def assert_same_kink(grid, H, q, y, k):
-        t0, H_kink = po._kink(grid, H, q, y, k)
+    def assert_same_kink(grid, H, q, y):
+        k = int(np.searchsorted(y >= 0, True))
         ref_t0, ref_H = companion_kink(grid, H, q, y, k)
+        k_kink, t0, _, H_kink = po._kink(grid, H, q, y)
+        assert k_kink == k
         assert grid.t[k - 1] <= t0 <= grid.t[k]
         # measured within 1.1e-16 (an ulp of t0 at most), H(t0) identical
         assert abs(t0 - ref_t0) <= 2.3e-16
@@ -245,8 +253,7 @@ class TestKink:
             H, q, y = grid.integrate(phi0)
             if y[-1] >= 0:      # the path turns nonnegative inside [r, R]
                 cells += 1
-                self.assert_same_kink(grid, H, q, y,
-                                      int(np.searchsorted(y >= 0, True)))
+                self.assert_same_kink(grid, H, q, y)
         assert cells >= 5, cells
 
     @pytest.mark.parametrize("y0, y1", [(None, 0.0), (None, 1e-300),
@@ -261,9 +268,9 @@ class TestKink:
         y = y.copy()
         y[k - 1] = y[k - 1] if y0 is None else y0
         y[k] = y[k] if y1 is None else y1
-        self.assert_same_kink(grid, H, q, y, k)
+        self.assert_same_kink(grid, H, q, y)
         if y1 == 0.0:
-            assert po._kink(grid, H, q, y, k)[0] == pytest.approx(
+            assert po._kink(grid, H, q, y)[1] == pytest.approx(
                 grid.t[k], abs=2.3e-16)
 
 
@@ -332,6 +339,24 @@ class TestClampAndCollapse:
     def test_phi_is_the_clamped_path(self, phi0):
         p = po.solve_phi_tilde(Weight.power(1.0, 1.0, 2.0), 1.0, 2.0, phi0)
         assert p.phi.tobytes() == np.maximum(0.0, p.phi_tilde).tobytes()
+
+    @pytest.mark.parametrize("phi0", [-0.5, 0.0, 0.4])
+    def test_solution_keeps_its_checked_pair(self, phi0):
+        grid = po.OdeGrid(Weight.power(1.0, 1.0, 2.0), 1.0, 2.0, 1024)
+        p = grid.solve(phi0)
+        H, q, _ = grid.integrate(phi0)
+        assert (p.H.tobytes(), p.q.tobytes()) == (H.tobytes(), q.tobytes())
+
+    @pytest.mark.parametrize("phi0, end", [(0.0, 0), (0.3, 0), (-0.9, -1)])
+    def test_kink_without_a_cell_is_an_end(self, phi0, end):
+        # phi0 >= 0: no plateau, r0 = r and min H = H(r) = 1; phi_tilde < 0
+        # up to R: all plateau, r0 = R and min H = H(R)
+        grid = po.OdeGrid(Weight.constant(1.0, 1.0, 2.0), 1.0, 2.0, 1001)
+        H, q, y = grid.integrate(phi0)
+        k, t0, r0, H_min = po._kink(grid, H, q, y)
+        assert k == (0 if end == 0 else len(y))
+        assert (t0, r0, H_min) == (grid.t[end], grid.s[end], H[end])
+        assert H_min == 1.0 if end == 0 else H_min < 1.0
 
 
 class TestRecoverH:

@@ -258,6 +258,13 @@ class TestBuild:
         sol = rd.build(unit(), rd.AnnulusPair(1, 2, 1, 2))
         assert sol.energy == pytest.approx(6 * np.pi, rel=1e-10)
 
+    def test_case1_integrates_one_path(self, monkeypatch):
+        # the profile scales the pair that the solve checked
+        monkeypatch.setattr(rd, "OdeGrid", CountingGrid)
+        sol = rd.build(unit(), rd.AnnulusPair(1, 2, 1, 2))
+        assert sol.case_tag == rd.CASE1
+        assert sol.phi.grid.calls == 1
+
     def test_H_monotone(self):
         for R_star in (1.02, 1.25, 3.0):
             sol = rd.build(unit(), rd.AnnulusPair(1, 2, 1, R_star))
@@ -375,12 +382,32 @@ class TestThresholds:
     @pytest.mark.parametrize("p, rho, n", [(-12.0, 50.0, 4096),
                                            (-10.0, 50.0, 4096),
                                            (-24.0, 10.0, 4096),
-                                           (-12.0, 50.0, 32768)])
+                                           (-12.0, 50.0, 32768),
+                                           (-25.5, 5.0, 4096),
+                                           (-18.25, 10.0, 64),
+                                           (-9.75, 50.0, 256)])
     def test_g_extreme_path_lost_to_cancellation(self, p, rho, n):
         # the columns reach 1e18 and beyond, and H = h0 + phi_g h1 cancels
-        # to a nonpositive value: a typed error, not an IndexError
+        # to a nonpositive value, or phi_tilde turns nonnegative within two
+        # cells of R or not at all (the last three): a typed error, not an
+        # IndexError or Simpson's ValueError on a one-node tail
         with pytest.raises(AccuracyError, match="extreme path"):
             rd.threshold_g(Weight.power(p, 1.0, rho), rho, n=n)
+
+    @pytest.mark.parametrize("n", [1001, 4095])
+    @pytest.mark.parametrize("w, p, rho", [(unit(1.0, 2.0), 0.0, 2.0),
+                                           (unit(1.0, 5.0), 0.0, 5.0),
+                                           (Weight.power(1.0, 1.0, 2.0), 1.0,
+                                            2.0)], ids=["1-2", "1-5", "s-2"])
+    def test_odd_interval_count_matches_closed_forms(self, w, p, rho, n):
+        # an odd n is used as given; with phi_g >= 0 the kink is at r, and
+        # the Simpson start j = 1 carries the ratio H_1 / H(r) (relative
+        # errors measured within 4.4e-13 for m, the unit weight at 5 and
+        # 4095, and 5.7e-14 for g)
+        m_exact, (g_exact, _) = (power_oracle.threshold_m(p, rho),
+                                 power_oracle.threshold_g(p, rho))
+        assert rd.threshold_m(w, rho, n=n) == pytest.approx(m_exact, rel=1e-12)
+        assert rd.threshold_g(w, rho, n=n) == pytest.approx(g_exact, rel=1e-12)
 
     @pytest.mark.parametrize("p, rho", [
         pytest.param(-12.0, 50.0, marks=item10(AccuracyError, "H at -4.3e3")),
